@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .exact import ConstructionError, ExactError, IntMatrix, smith_normal_form
 from .oracle import (DEFAULT_CAP, THEOREMS, bench, brute_force_group,
@@ -22,6 +21,18 @@ from .scheme import (RECURSIVE, SUPERSTANDARD, SchemeParams, degree,
 from .superstandard import check_conjecture, p_tilde
 
 
+def _parse_lambda(args, parser) -> int:
+    """The --lambda flag: an integer, or 'degree' (which needs --ell)."""
+    if args.lam == "degree":
+        if args.ell is None:
+            parser.error("--lambda degree requires --ell")
+        return degree(args.n, args.k, args.ell)
+    try:
+        return int(args.lam)
+    except ValueError:
+        parser.error("--lambda takes an integer or 'degree'")
+
+
 def _resolve_inputs(args, parser) -> tuple[SchemeParams, tuple[int, ...], int]:
     """Turn --ell/--coeffs/--lambda flags into (params, coeffs, lam)."""
     n, k = args.n, args.k
@@ -29,16 +40,7 @@ def _resolve_inputs(args, parser) -> tuple[SchemeParams, tuple[int, ...], int]:
         parser.error("--ell and --coeffs are mutually exclusive")
     if args.coeffs is None and args.ell is None:
         parser.error("one of --ell or --coeffs is required")
-    lam_text = getattr(args, "lam", "0")
-    if lam_text == "degree":
-        if args.ell is None:
-            parser.error("--lambda degree requires --ell")
-        lam = degree(n, k, args.ell)
-    else:
-        try:
-            lam = int(lam_text)
-        except ValueError:
-            parser.error("--lambda takes an integer or 'degree'")
+    lam = _parse_lambda(args, parser)
     if args.ell is not None:
         p = SchemeParams(n, k, k, args.ell)
         coeffs = unit_coeffs(p)
@@ -75,8 +77,7 @@ def _print_blocks(result) -> None:
 
 def cmd_smith_group(args, parser) -> int:
     p, coeffs, lam = _resolve_inputs(args, parser)
-    family = args.e_family
-    result = smith_group(p, coeffs, lam, e_family=family)
+    result = smith_group(p, coeffs, lam)
     if args.json:
         print(json.dumps(_group_json(result)))
     else:
@@ -114,8 +115,7 @@ def cmd_ms(args, parser) -> int:
 
 
 def cmd_eigenvalues(args, parser) -> int:
-    lam_text = args.lam
-    lam = degree(args.n, args.k, args.ell) if lam_text == "degree" else int(lam_text)
+    lam = _parse_lambda(args, parser)
     p = SchemeParams(args.n, args.k, args.k, args.ell)
     spec = eigenvalues(p, lam=lam)
     if args.json:
@@ -164,16 +164,8 @@ def cmd_verify(args, parser) -> int:
         parser.error(f"{args.theorem} requires n >= {cf.min_n}")
     if args.n_to < args.n_from:
         parser.error("--n-to must be >= --n-from")
-    ns = range(args.n_from, args.n_to + 1)
-
-    def work(n):
-        return verify_closed_form(args.theorem, n, cap=args.cap)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(work, ns))
-    else:
-        reports = [work(n) for n in ns]
+    reports = [verify_closed_form(args.theorem, n, cap=args.cap)
+               for n in range(args.n_from, args.n_to + 1)]
     ok = True
     for rep in reports:
         ok = ok and rep.all_agree
@@ -200,15 +192,7 @@ def cmd_conjecture(args, parser) -> int:
                for n in range(args.n_min, args.n_max + 1)
                for j in range(0, args.k_max + 1) if 3 * j <= n + 1
                for i in range(0, j + 1) if 3 * i <= n + 1]
-
-    def work(t):
-        return check_conjecture(*t)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(work, triples))
-    else:
-        reports = [work(t) for t in triples]
+    reports = [check_conjecture(*t) for t in triples]
     log_lines = []
     all_hold = True
     for rep in reports:
@@ -301,9 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("smith-group",
                         help="Smith group via the small-block reduction")
     _add_common_element_flags(sp)
-    sp.add_argument("--e-family", choices=[RECURSIVE, SUPERSTANDARD],
-                    default=None,
-                    help="also build and validate this unimodular family")
     sp.set_defaults(func=cmd_smith_group)
 
     sp = sub.add_parser("diagonal-form",
@@ -339,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-from", type=int, required=True)
     sp.add_argument("--n-to", type=int, required=True)
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)
 
@@ -350,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-max", type=int, required=True)
     sp.add_argument("--log", type=str, default=None,
                     help="write machine-readable JSONL to this file")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_conjecture)
 

@@ -1,22 +1,35 @@
 """Exact integer matrices, Smith normal form, and abelian group invariants.
 
-Everything here is exact.  The Smith reduction and matrix products run on a
-numpy int64 fast lane while every entry stays below 2**31 (quotient times
-entry then fits in int64 with room to spare) and fall back to Python's
-arbitrary-precision integers the moment that bound is threatened, so entry
-growth can never silently corrupt a result.
+Everything here is exact.  The Smith reduction has two lanes, chosen by
+matrix size alone.  A matrix with fewer than _LIST_LANE_BELOW rows or
+columns (every M_s block) is reduced on lists of Python integers, which
+cannot overflow.  A larger one (the dense oracle's matrices) starts on a
+numpy int64 lane while every entry stays below 2**31 (quotient times entry
+then fits in int64 with room to spare), and its trailing block is handed to
+the list lane the moment that bound is threatened, so entry growth can
+never silently corrupt a result.  Transforms are always computed on the
+list lane.  Matrix products take int64 only when no dot product can
+overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd, prod
+from math import gcd, prod
 from itertools import combinations
 
 import numpy as np
 
 # Entries at or above this bound leave the int64 lane.
 _FAST_LIMIT = 1 << 31
+
+# Matrices with fewer rows or columns than this skip the int64 lane: below
+# it, numpy's per-step overhead costs more than the list lane's Python
+# loops.  On random square matrices with entries in -9..9 the list lane was
+# 10x faster at 4, 1.2x at 20, and even at 24.  So the M_s blocks (at most
+# (k+1)x(k+1)) take the list lane, and dense matrices of 20 or more
+# columns and rows the int64 lane.
+_LIST_LANE_BELOW = 20
 
 
 class ExactError(ValueError):
@@ -87,15 +100,6 @@ class IntMatrix:
 
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.data[i][j]
-
-    def row(self, i: int) -> list[int]:
-        return list(self.data[i])
-
-    def column(self, j: int) -> list[int]:
-        return [row[j] for row in self.data]
 
     def max_abs(self) -> int:
         best = 0
@@ -193,23 +197,25 @@ class IntMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "IntMatrix":
-        lines = text.splitlines()
+        try:
+            lines = [[int(tok) for tok in line.split()]
+                     for line in text.splitlines()]
+        except ValueError as exc:
+            raise ExactError(f"matrix file holds a non-integer token ({exc})") from None
         if not lines:
             raise ExactError("empty matrix file")
-        head = lines[0].split()
-        if len(head) != 2:
+        if len(lines[0]) != 2:
             raise ExactError("first line must be 'rows cols'")
-        rows, cols = int(head[0]), int(head[1])
+        rows, cols = lines[0]
         data = []
         for line in lines[1:]:
-            if line.strip() == "" and len(data) >= rows:
+            if not line and len(data) >= rows:
                 continue
-            data.append([int(tok) for tok in line.split()])
+            data.append(line)
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ExactError("matrix body does not match declared shape")
         if rows == 0:
-            out = cls.zeros(0, cols)
-            return out
+            return cls.zeros(0, cols)
         return cls(data)
 
 
@@ -255,21 +261,24 @@ class SmithForm:
         return IntMatrix.diagonal(self.invariant_factors, rows, cols)
 
 
-def _chain_fix_values(diag: list[int]) -> list[int]:
-    """Turn positive diagonal values into the divisibility chain."""
-    ds = sorted(diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ds)):
-            di = ds[i]
-            for j in range(i + 1, len(ds)):
-                if ds[j] % di:
-                    g = gcd(di, ds[j])
-                    ds[j] = di // g * ds[j]
-                    ds[i] = di = g
-                    changed = True
-    return ds
+def _chain_fix(diag: list[int], mix=None) -> None:
+    """Turn positive diagonal values into the divisibility chain, in place.
+
+    One pass suffices: once position i has met every later position it
+    divides all of them, and later steps only replace values by gcds and
+    lcms of multiples of it.  For each pair i < j that is not yet in chain
+    order, mix(i, j, d_i, d_j) is called with the old values before they
+    become their gcd and lcm, so a caller can apply the matching unimodular
+    operations to a matrix.
+    """
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            di, dj = diag[i], diag[j]
+            if dj % di:
+                if mix is not None:
+                    mix(i, j, di, dj)
+                g = gcd(di, dj)
+                diag[i], diag[j] = g, di // g * dj
 
 
 def _diagonalize_fast(a: np.ndarray) -> tuple[list[int], bool]:
@@ -350,191 +359,6 @@ def _diagonalize_fast(a: np.ndarray) -> tuple[list[int], bool]:
     return diag, True
 
 
-class _ExactReducer:
-    """List-based Smith reduction with optional transform tracking."""
-
-    def __init__(self, data, rows, cols, want_transforms, want_right_inv=False):
-        self.a = [list(r) for r in data]
-        self.m = rows
-        self.n = cols
-        self.left = None
-        self.right = None
-        self.right_inv = None
-        if want_transforms:
-            self.left = [[int(i == j) for j in range(rows)] for i in range(rows)]
-            self.right = [[int(i == j) for j in range(cols)] for i in range(cols)]
-        if want_right_inv:
-            self.right_inv = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    # elementary row operations -------------------------------------------
-    def row_swap(self, i, j):
-        a = self.a
-        a[i], a[j] = a[j], a[i]
-        if self.left is not None:
-            self.left[i], self.left[j] = self.left[j], self.left[i]
-
-    def row_negate(self, i):
-        self.a[i] = [-v for v in self.a[i]]
-        if self.left is not None:
-            self.left[i] = [-v for v in self.left[i]]
-
-    def row_addmul(self, i, j, c):
-        """row_i += c * row_j"""
-        if c == 0:
-            return
-        self.a[i] = [x + c * y for x, y in zip(self.a[i], self.a[j])]
-        if self.left is not None:
-            self.left[i] = [x + c * y for x, y in zip(self.left[i], self.left[j])]
-
-    # elementary column operations ------------------------------------------
-    def col_swap(self, i, j):
-        for row in self.a:
-            row[i], row[j] = row[j], row[i]
-        if self.right is not None:
-            for row in self.right:
-                row[i], row[j] = row[j], row[i]
-        if self.right_inv is not None:
-            ri = self.right_inv
-            ri[i], ri[j] = ri[j], ri[i]
-
-    def col_negate(self, i):
-        for row in self.a:
-            row[i] = -row[i]
-        if self.right is not None:
-            for row in self.right:
-                row[i] = -row[i]
-        if self.right_inv is not None:
-            self.right_inv[i] = [-v for v in self.right_inv[i]]
-
-    def col_addmul(self, i, j, c):
-        """col_i += c * col_j"""
-        if c == 0:
-            return
-        for row in self.a:
-            row[i] += c * row[j]
-        if self.right is not None:
-            for row in self.right:
-                row[i] += c * row[j]
-        if self.right_inv is not None:
-            # inverse picks up the inverse operation on the left
-            self.right_inv[j] = [x - c * y for x, y in
-                                 zip(self.right_inv[j], self.right_inv[i])]
-
-    # ------------------------------------------------------------------
-    def _pivot(self, t):
-        best = None
-        bi = bj = -1
-        a = self.a
-        for i in range(t, self.m):
-            row = a[i]
-            for j in range(t, self.n):
-                v = row[j]
-                if v:
-                    av = -v if v < 0 else v
-                    if best is None or av < best:
-                        best, bi, bj = av, i, j
-                        if av == 1:
-                            return bi, bj
-        if best is None:
-            return None
-        return bi, bj
-
-    def diagonalize(self):
-        t = 0
-        limit = min(self.m, self.n)
-        diag = []
-        while t < limit:
-            loc = self._pivot(t)
-            if loc is None:
-                break
-            bi, bj = loc
-            if bi != t:
-                self.row_swap(t, bi)
-            if bj != t:
-                self.col_swap(t, bj)
-            if self.a[t][t] < 0:
-                self.row_negate(t)
-            while True:
-                p = self.a[t][t]
-                half = p >> 1
-                dirty = False
-                for i in range(t + 1, self.m):
-                    v = self.a[i][t]
-                    if v:
-                        self.row_addmul(i, t, -((v + half) // p))
-                        if self.a[i][t]:
-                            dirty = True
-                if dirty:
-                    best = None
-                    br = -1
-                    for i in range(t + 1, self.m):
-                        v = self.a[i][t]
-                        if v:
-                            av = -v if v < 0 else v
-                            if best is None or av < best:
-                                best, br = av, i
-                    self.row_swap(t, br)
-                    if self.a[t][t] < 0:
-                        self.row_negate(t)
-                    continue
-                p = self.a[t][t]
-                half = p >> 1
-                rdirty = False
-                for j in range(t + 1, self.n):
-                    v = self.a[t][j]
-                    if v:
-                        self.col_addmul(j, t, -((v + half) // p))
-                        if self.a[t][j]:
-                            rdirty = True
-                if rdirty:
-                    break  # smaller entry now lives in row t; re-pivot
-                diag.append(p)
-                t += 1
-                break
-        return diag
-
-    def fix_divisibility(self, rank):
-        """Repair the chain among diagonal positions 0..rank-1 in place."""
-        a = self.a
-        changed = True
-        while changed:
-            changed = False
-            for i in range(rank):
-                for j in range(i + 1, rank):
-                    di, dj = a[i][i], a[j][j]
-                    if dj % di == 0:
-                        continue
-                    changed = True
-                    self.row_addmul(i, j, 1)          # (i,j) entry becomes dj
-                    g, x, y = _xgcd(di, dj)
-                    # unimodular column mix sending (di, dj) -> (g, 0)
-                    self._col_pair(i, j, x, y, -(dj // g), di // g)
-                    # now a[j][i] == y*dj; clear it with a row operation
-                    self.row_addmul(j, i, -(self.a[j][i] // g))
-                    if self.a[i][i] < 0:
-                        self.row_negate(i)
-                    if self.a[j][j] < 0:
-                        self.row_negate(j)
-
-    def _col_pair(self, i, j, w, x, y, z):
-        """(col_i, col_j) <- (w*col_i + x*col_j, y*col_i + z*col_j), det wz-xy = +-1."""
-        for row in self.a:
-            ci, cj = row[i], row[j]
-            row[i] = w * ci + x * cj
-            row[j] = y * ci + z * cj
-        if self.right is not None:
-            for row in self.right:
-                ci, cj = row[i], row[j]
-                row[i] = w * ci + x * cj
-                row[j] = y * ci + z * cj
-        if self.right_inv is not None:
-            ri, rj = self.right_inv[i], self.right_inv[j]
-            det = w * z - x * y
-            # inverse of [[w, y], [x, z]] acting on rows i, j of the inverse
-            self.right_inv[i] = [(z * a - y * b) * det for a, b in zip(ri, rj)]
-            self.right_inv[j] = [(-x * a + w * b) * det for a, b in zip(ri, rj)]
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """g, x, y with x*a + y*b == g == gcd(a, b), g >= 0."""
     old_r, r = a, b
@@ -550,28 +374,105 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _eliminate(a: list[list[int]], m: int, n: int) -> list[int]:
+    """Diagonalize the leading m x n block of the list matrix a in place.
+
+    Row operations act on whole rows of a and column operations on whole
+    columns, so blocks appended to the right of the first m rows or below
+    them ride along (smith_normal_form keeps its transforms there).  The
+    rows below the block need only n entries.  Returns the positive
+    diagonal values; the leading block is then zero off its diagonal.
+    """
+    diag: list[int] = []
+    t = 0
+    while t < min(m, n):
+        # pivot: an entry of least absolute value; a unit ends the search
+        best = bi = bj = 0
+        for i in range(t, m):
+            row = a[i]
+            for j in range(t, n):
+                v = row[j]
+                if v and (not best or abs(v) < best):
+                    best, bi, bj = abs(v), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
+            break
+        a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+        while True:
+            if a[t][t] < 0:
+                a[t] = [-v for v in a[t]]
+            piv = a[t]
+            p = piv[t]
+            half = p >> 1
+            # clear column t by row operations; a nonzero remainder is
+            # smaller than the pivot, so the smallest one becomes the pivot
+            best = br = 0
+            for i in range(t + 1, m):
+                v = a[i][t]
+                if v:
+                    q = (v + half) // p
+                    a[i] = row = [x - q * y for x, y in zip(a[i], piv)]
+                    if row[t] and (not best or abs(row[t]) < best):
+                        best, br = abs(row[t]), i
+            if best:
+                a[t], a[br] = a[br], a[t]
+                continue
+            # column t is clear, so column operations change only row t of
+            # the block and the rows below it
+            touched = [piv] + a[m:]
+            dirty = False
+            for j in range(t + 1, n):
+                v = piv[j]
+                if v:
+                    q = (v + half) // p
+                    for row in touched:
+                        row[j] -= q * row[t]
+                    dirty = dirty or piv[j] != 0
+            if not dirty:
+                diag.append(p)
+                t += 1
+            break  # next pivot, or re-pick this one: row t holds a smaller entry
+    return diag
+
+
+def _mix_pair(a: list[list[int]], i: int, j: int, di: int, dj: int) -> None:
+    """Unimodular row and column operations on a that turn the diagonal
+    entries di, dj at positions i, j of a diagonal leading block into
+    their gcd and lcm."""
+    a[i] = [x + y for x, y in zip(a[i], a[j])]   # entry (i, j) becomes dj
+    g, x, y = _xgcd(di, dj)
+    u, v = -(dj // g), di // g                   # det [[x, u], [y, v]] == 1
+    for row in a:
+        ci, cj = row[i], row[j]
+        row[i] = x * ci + y * cj
+        row[j] = u * ci + v * cj
+    # row i is now (g, 0) and row j (y*dj, lcm) in columns i, j
+    q = y * dj // g
+    a[j] = [s - q * r for s, r in zip(a[j], a[i])]
+
+
 def _diagonal_values(m: IntMatrix) -> list[int]:
     """Positive diagonal values of some diagonal form of m (no chain yet).
 
-    Starts on the int64 lane; if entries approach the int64 ceiling the
-    partially reduced (still exact) trailing block is handed to the
-    arbitrary-precision reducer.
+    Matrices with fewer than _LIST_LANE_BELOW rows or columns, and those
+    with an entry beyond the int64 lane, go straight to the list lane.  The
+    rest start on the int64 lane; if entries approach the int64 ceiling,
+    the partially reduced (still exact) trailing block is handed to the
+    list lane.
     """
-    if m.rows == 0 or m.cols == 0:
-        return []
-    diag: list[int] = []
-    rest_rows = m.data
-    if m.max_abs() < _FAST_LIMIT:
-        a = np.array(m.data, dtype=np.int64)
-        diag, finished = _diagonalize_fast(a)
-        if finished:
-            return diag
+    if min(m.rows, m.cols) < _LIST_LANE_BELOW or m.max_abs() >= _FAST_LIMIT:
+        return _eliminate([list(row) for row in m.data], m.rows, m.cols)
+    a = np.array(m.data, dtype=np.int64)
+    diag, finished = _diagonalize_fast(a)
+    if not finished:
         t = len(diag)
-        rest_rows = a[t:, t:].tolist()
-    red = _ExactReducer(rest_rows, len(rest_rows),
-                        len(rest_rows[0]) if rest_rows else 0,
-                        want_transforms=False)
-    diag.extend(red.diagonalize())
+        diag += _eliminate(a[t:, t:].tolist(), m.rows - t, m.cols - t)
     return diag
 
 
@@ -582,17 +483,20 @@ def smith_normal_form(m: IntMatrix, with_transforms: bool = False) -> SmithForm:
     (cols x cols) with left @ m @ right equal to the padded diagonal.
     """
     if not with_transforms:
-        diag = _diagonal_values(m)
-        chained = _chain_fix_values(diag)
-        return SmithForm(tuple(chained), len(chained))
-    red = _ExactReducer(m.data, m.rows, m.cols, want_transforms=True)
-    diag = red.diagonalize()
-    rank = len(diag)
-    red.fix_divisibility(rank)
-    factors = tuple(red.a[i][i] for i in range(rank))
-    return SmithForm(factors, rank,
-                     left=IntMatrix(red.left) if red.left else IntMatrix.zeros(0, 0),
-                     right=IntMatrix(red.right) if red.right else IntMatrix.zeros(0, 0))
+        diag = sorted(_diagonal_values(m))
+        _chain_fix(diag)
+        return SmithForm(tuple(diag), len(diag))
+    rows, cols = m.rows, m.cols
+    # reduce [m | I] stacked over [I]: the row operations build the left
+    # transform beside m, the column operations the right one below it
+    a = [list(row) + [int(i == j) for j in range(rows)]
+         for i, row in enumerate(m.data)]
+    a += [[int(i == j) for j in range(cols)] for i in range(cols)]
+    diag = _eliminate(a, rows, cols)
+    _chain_fix(diag, lambda i, j, di, dj: _mix_pair(a, i, j, di, dj))
+    return SmithForm(tuple(diag), len(diag),
+                     left=IntMatrix([row[cols:] for row in a[:rows]], cols=rows),
+                     right=IntMatrix(a[rows:], cols=cols))
 
 
 def rank(m: IntMatrix) -> int:
@@ -687,13 +591,14 @@ class _ModRankTracker:
     pivot column), so reducing a candidate needs a single pass.
     """
 
-    def __init__(self, cols: int, p: int = _COMPLETION_PRIME):
+    def __init__(self, p: int = _COMPLETION_PRIME):
         self.p = p
         self.pivots: dict[int, np.ndarray] = {}
 
-    def try_add(self, vec: np.ndarray) -> bool:
+    def try_add(self, row) -> bool:
+        """Add an integer row if it is independent of those added so far."""
         p = self.p
-        v = vec % p
+        v = np.array([x % p for x in row], dtype=np.int64)
         for col, prow in self.pivots.items():
             if v[col]:
                 v = (v - v[col] * prow) % p
@@ -708,13 +613,6 @@ class _ModRankTracker:
                 self.pivots[c2] = (row2 - row2[col] * prow) % p
         self.pivots[col] = prow
         return True
-
-    def add_rows(self, rows) -> int:
-        added = 0
-        for row in rows:
-            if self.try_add(np.array([x % self.p for x in row], dtype=np.int64)):
-                added += 1
-        return added
 
 
 def unimodular_completion(m: IntMatrix) -> IntMatrix:
@@ -734,37 +632,25 @@ def unimodular_completion(m: IntMatrix) -> IntMatrix:
     if r == c:
         return m
 
-    tracker = _ModRankTracker(c)
-    added = tracker.add_rows(m.data)
-    chosen: list[int] = []
-    if added == r:
-        unit = np.zeros(c, dtype=np.int64)
+    tracker = _ModRankTracker()
+    if all(tracker.try_add(row) for row in m.data):
+        # unit rows span, so the greedy pass always reaches c rows
+        data = [list(row) for row in m.data]
         for j in range(c):
-            if len(chosen) == c - r:
+            if len(data) == c:
                 break
-            unit[:] = 0
-            unit[j] = 1
+            unit = [int(i == j) for i in range(c)]
             if tracker.try_add(unit):
-                chosen.append(j)
-        if len(chosen) == c - r:
-            data = [list(row) for row in m.data]
-            for j in chosen:
-                row = [0] * c
-                row[j] = 1
-                data.append(row)
-            candidate = IntMatrix(data)
-            if is_unimodular(candidate):
-                return candidate
+                data.append(unit)
+        candidate = IntMatrix(data)
+        if is_unimodular(candidate):
+            return candidate
 
-    # Smith-transform fallback: with L m R = [I | 0], the bottom rows of
-    # R^{-1} extend m to a product of unimodular matrices.
-    red = _ExactReducer(m.data, r, c, want_transforms=True, want_right_inv=True)
-    diag = red.diagonalize()
-    if len(diag) != r or any(abs(d) != 1 for d in diag):
-        raise ConstructionError("input lost full rank or index 1 during reduction")
-    data = [list(row) for row in m.data]
-    data.extend(list(row) for row in red.right_inv[r:])
-    candidate = IntMatrix(data)
+    # Smith-transform fallback: with L m R = [I | 0], m stacked over the
+    # bottom rows of R^{-1} is blockdiag(L^{-1}, I) R^{-1}, a unimodular
+    # product.
+    right_inv = unimodular_inverse(smith_normal_form(m, with_transforms=True).right)
+    candidate = IntMatrix(m.data + right_inv.data[r:])
     if not is_unimodular(candidate):
         raise ConstructionError("unimodular completion failed")
     return candidate
@@ -772,25 +658,6 @@ def unimodular_completion(m: IntMatrix) -> IntMatrix:
 
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
-
-
-def _factorize(v: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while v % p == 0:
-            out[p] = out.get(p, 0) + 1
-            v //= p
-    f = 7
-    step = 4
-    while f * f <= v:
-        while v % f == 0:
-            out[f] = out.get(f, 0) + 1
-            v //= f
-        f += step
-        step = 6 - step
-    if v > 1:
-        out[v] = out.get(v, 0) + 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -814,7 +681,7 @@ class AbelianGroup:
 
     def order(self) -> int:
         """Order of the torsion part."""
-        return prod(self.invariant_factors, start=1)
+        return _balanced_prod(self.invariant_factors)
 
     def __str__(self) -> str:
         terms = []
@@ -848,34 +715,81 @@ def group_from_smith(snf: SmithForm, ambient_cols: int) -> AbelianGroup:
     return AbelianGroup(facs, ambient_cols - snf.rank)
 
 
+def _balanced_prod(values) -> int:
+    """Product of values taken pairwise, level by level.
+
+    Multiplying a growing product by one factor at a time costs time
+    quadratic in the length of the result; pairing operands of like size
+    keeps the cost near that of the last multiplication.
+    """
+    vals = list(values) or [1]
+    while len(vals) > 1:
+        pairs = [a * b for a, b in zip(vals[::2], vals[1::2])]
+        if len(vals) % 2:
+            pairs.append(vals[-1])
+        vals = pairs
+    return vals[0]
+
+
+def _coprime_base(values) -> list[int]:
+    """Pairwise coprime integers > 1 such that every value is a product of
+    powers of them: factor refinement (Bach, Driscoll and Shallit 1993).
+
+    Only gcds are taken, so a value with two large prime factors costs no
+    more than a small one.  Each split replaces b and x by g = gcd(b, x),
+    b/g and x/g, so the product of all numbers held drops by g > 1 and the
+    loop ends.
+    """
+    base: list[int] = []
+    todo = [v for v in values if v > 1]
+    while todo:
+        x = todo.pop()
+        for idx, b in enumerate(base):
+            g = gcd(b, x)
+            if g > 1:
+                # b is coprime to the rest of the base, and so are its parts
+                del base[idx]
+                todo.extend(d for d in (g, b // g, x // g) if d > 1)
+                break
+        else:
+            base.append(x)
+    return base
+
+
 def group_from_diagonal(entries) -> AbelianGroup:
     """Canonicalize a multiset of diagonal entries given as (value, multiplicity).
 
     Zeros contribute to the free rank, signs are ignored, and +-1 entries
-    are dropped; the rest is rebuilt into invariant factors by collecting
-    prime powers and zipping them largest-first.
+    are dropped.  The rest is written over a coprime base, and the powers
+    of each base element are zipped largest-first into invariant factors,
+    as prime powers would be: the primes of one base element all share its
+    exponent pattern.
     """
     free = 0
-    exps: dict[int, list[int]] = {}
+    counts: dict[int, int] = {}
     for value, mult in entries:
         if mult < 0:
             raise ExactError("multiplicities must be nonnegative")
-        if mult == 0:
-            continue
         v = abs(value)
         if v == 0:
             free += mult
-            continue
-        if v == 1:
-            continue
-        for p, e in _factorize(v).items():
-            exps.setdefault(p, []).extend([e] * mult)
-    for p in exps:
-        exps[p].sort(reverse=True)
+        elif v > 1 and mult:
+            counts[v] = counts.get(v, 0) + mult
+    exps: dict[int, list[int]] = {}
+    for b in _coprime_base(counts):
+        es = exps[b] = []
+        for v, mult in counts.items():
+            e = 0
+            while v % b == 0:
+                v //= b
+                e += 1
+            if e:
+                es.extend([e] * mult)
+        es.sort(reverse=True)
     depth = max((len(v) for v in exps.values()), default=0)
     factors = []
     for i in range(depth):
-        f = prod(p ** es[i] for p, es in exps.items() if i < len(es))
+        f = prod(b ** es[i] for b, es in exps.items() if i < len(es))
         factors.append(f)
     factors.reverse()
     return AbelianGroup(tuple(factors), free)

@@ -344,28 +344,36 @@ def block_multiplicity(n: int, s: int) -> int:
     return binomial(n, s) - 2 * binomial(n, s - 1) + binomial(n, s - 2)
 
 
+def _combined_f(p: SchemeParams, coeffs: tuple[int, ...]) -> list[list[int]]:
+    """table[i][j] = sum_l b_l f_i(j), f taken at ell = l, for i <= kr and
+    j <= kc: the coefficient of W_{i,j} in the conjugated triangular form of
+    the combination.  Zero below the diagonal, where W_{i,j} vanishes."""
+    terms = [(b, SchemeParams(p.n, p.kr, p.kc, ell))
+             for ell, b in enumerate(coeffs) if b]
+    return [[sum(b * f_coeff(i, j, q) for b, q in terms) if i <= j else 0
+             for j in range(p.kc + 1)] for i in range(p.kr + 1)]
+
+
+def _ms_block(s: int, p: SchemeParams, table: list[list[int]],
+              lam: int) -> MsMatrix:
+    data = [[binomial(j - s, i - s) * table[i][j] - (lam if i == j else 0)
+             for j in range(s, p.kc + 1)] for i in range(s, p.kr + 1)]
+    return MsMatrix(s, IntMatrix(data), block_multiplicity(p.n, s))
+
+
 def ms_matrix(s: int, p: SchemeParams, coeffs=None, lam: int = 0) -> MsMatrix:
     """The block M_s with entries -lam*delta_{ij} + C(j-s,i-s) * sum_l b_l f_i(j),
     indexed by s <= i <= kr, s <= j <= kc.  Upper triangular when square."""
     coeffs = _check_coeffs(p, coeffs, lam)
     if not 0 <= s <= p.kr:
         raise ParameterError(f"need 0 <= s <= kr, got s={s}")
-    per_ell = [SchemeParams(p.n, p.kr, p.kc, ell) for ell in range(p.kr + 1)]
-    data = []
-    for i in range(s, p.kr + 1):
-        row = []
-        for j in range(s, p.kc + 1):
-            v = binomial(j - s, i - s) * sum(
-                b * f_coeff(i, j, q) for b, q in zip(coeffs, per_ell) if b)
-            if lam and i == j:
-                v -= lam
-            row.append(v)
-        data.append(row)
-    return MsMatrix(s, IntMatrix(data), block_multiplicity(p.n, s))
+    return _ms_block(s, p, _combined_f(p, coeffs), lam)
 
 
 def ms_matrices(p: SchemeParams, coeffs=None, lam: int = 0) -> list[MsMatrix]:
-    return [ms_matrix(s, p, coeffs, lam) for s in range(p.kr + 1)]
+    coeffs = _check_coeffs(p, coeffs, lam)
+    table = _combined_f(p, coeffs)
+    return [_ms_block(s, p, table, lam) for s in range(p.kr + 1)]
 
 
 def _require_large_n(p: SchemeParams) -> None:
@@ -375,20 +383,16 @@ def _require_large_n(p: SchemeParams) -> None:
             f"for n={p.n} use the brute-force oracle instead")
 
 
-def smith_group(p: SchemeParams, coeffs=None, lam: int = 0,
-                e_family: str | None = None) -> SmithGroupResult:
+def smith_group(p: SchemeParams, coeffs=None, lam: int = 0) -> SmithGroupResult:
     """Smith group of sum_l b_l A_{n,kr,kc,l} - lam*I via the M_s blocks.
 
     Requires n >= 3*kc - 1, the range where the W blocks are known to be
-    simultaneously diagonalizable.  With e_family set ("recursive" or
-    "superstandard"), the corresponding unimodular family is actually
-    constructed and validated first (cached per n); by default the formula
-    is applied directly.
+    simultaneously diagonalizable.  The group does not depend on which
+    unimodular E family diagonalizes them, so none is built here;
+    e_matrices builds and validates one on its own.
     """
     coeffs = _check_coeffs(p, coeffs, lam)
     _require_large_n(p)
-    if e_family is not None:
-        e_matrices(p.n, p.kc, e_family)
     blocks = []
     entries: list[tuple[int, int]] = []
     used_rank = 0
@@ -421,9 +425,6 @@ def eigenvalues(p: SchemeParams, coeffs=None, lam: int = 0) -> list[SpectrumEntr
         raise ParameterError("eigenvalues need square parameters kr == kc")
     coeffs = _check_coeffs(p, coeffs, lam)
     _require_large_n(p)
-    per_ell = [SchemeParams(p.n, p.kr, p.kc, ell) for ell in range(p.kr + 1)]
-    out = []
-    for i in range(p.kr + 1):
-        ev = sum(b * f_coeff(i, i, q) for b, q in zip(coeffs, per_ell) if b) - lam
-        out.append(SpectrumEntry(ev, mu(p.n, i)))
-    return out
+    table = _combined_f(p, coeffs)
+    return [SpectrumEntry(table[i][i] - lam, mu(p.n, i))
+            for i in range(p.kr + 1)]

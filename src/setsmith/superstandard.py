@@ -13,13 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import IntMatrix, smith_normal_form, stack
-from .scheme import ParameterError, d_matrix, w_matrix
+from .scheme import ParameterError, _masks, d_matrix, w_matrix
 from .subsets import (STANDARD, SUPER_STANDARD, enumerate_subsets,
                       is_boundary, mu, phi)
-
-
-def _masks(subsets) -> list[int]:
-    return [sum(1 << (e - 1) for e in s) for s in subsets]
 
 
 def w_tilde(n: int, i: int, j: int) -> IntMatrix:

@@ -82,17 +82,6 @@ def test_verify_command(capsys):
     assert all(rec["agreement"]["all"] for rec in lines)
 
 
-def test_verify_threads_match_serial(capsys):
-    base = ("verify", "--theorem", "johnson_k2_adjacency",
-            "--n-from", "5", "--n-to", "8", "--json")
-    _, serial, _ = run(capsys, *base)
-    _, threaded, _ = run(capsys, *base, "--threads", "4")
-    strip = lambda text: [
-        {k: v for k, v in json.loads(line).items() if k != "timings_ms"}
-        for line in text.strip().splitlines()]
-    assert strip(serial) == strip(threaded)
-
-
 def test_conjecture_command_with_log(tmp_path, capsys):
     log = tmp_path / "conj.jsonl"
     code, out, _ = run(capsys, "conjecture", "--n-min", "5", "--n-max", "7",
@@ -165,9 +154,13 @@ def test_argument_errors_exit_2(capsys):
         main(["smith-group", "--n", "12", "--k", "3", "--coeffs", "1,0,0,0",
               "--lambda", "degree"])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["eigenvalues", "--n", "12", "--k", "3", "--ell", "2",
+              "--lambda", "x"])
+    assert err.value.code == 2
 
 
-def test_precondition_violations_exit_1(capsys):
+def test_precondition_violations_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "smith-group", "--n", "6", "--k", "3",
                        "--ell", "0")
     assert code == 1
@@ -178,3 +171,8 @@ def test_precondition_violations_exit_1(capsys):
     assert "cap" in err
     code, _, err = run(capsys, "snf", "--in", "/nonexistent/file.txt")
     assert code == 1
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 2\n1 2\n3 x\n")
+    code, _, err = run(capsys, "snf", "--in", str(bad))
+    assert code == 1
+    assert err.startswith("error:") and "non-integer" in err

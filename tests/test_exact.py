@@ -1,11 +1,13 @@
 import random
-from math import gcd, prod
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from setsmith.exact import (AbelianGroup, ExactError, IntMatrix, _bareiss_det,
-                            gcd_minors, group_from_diagonal, group_from_smith,
-                            index, is_unimodular, smith_normal_form, stack,
+from setsmith.exact import (_LIST_LANE_BELOW, AbelianGroup, ExactError,
+                            IntMatrix, _bareiss_det, gcd_minors,
+                            group_from_diagonal, group_from_smith, index,
+                            is_unimodular, smith_normal_form, stack,
                             unimodular_completion, unimodular_inverse)
 
 
@@ -58,7 +60,7 @@ def test_snf_divisibility_chain_random():
 def test_snf_transforms_random():
     rng = random.Random(2)
     for _ in range(300):
-        rows, cols = rng.randint(0, 5), rng.randint(1, 5)
+        rows, cols = rng.randint(0, 8), rng.randint(1, 8)
         m = rand_matrix(rng, rows, cols)
         snf = smith_normal_form(m, with_transforms=True)
         assert snf.left @ m @ snf.right == snf.diagonal_matrix(rows, cols)
@@ -66,6 +68,46 @@ def test_snf_transforms_random():
             assert abs(_bareiss_det(snf.left.data)) == 1
         assert abs(_bareiss_det(snf.right.data)) == 1
         assert smith_normal_form(m).invariant_factors == snf.invariant_factors
+
+
+def _random_unimodular(rng, n):
+    """A product of random elementary row operations with small multipliers."""
+    data = IntMatrix.identity(n).data
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.randint(-3, 3)
+            data[i] = [x + c * y for x, y in zip(data[i], data[j])]
+        if rng.random() < 0.2:
+            data[i] = [-x for x in data[i]]
+    return IntMatrix(data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(side=st.integers(1, 24), other=st.integers(1, 24),
+       flip=st.booleans(), bound=st.sampled_from([1, 9, 2 ** 20, 2 ** 30, 2 ** 40]),
+       density=st.sampled_from([0.3, 1.0]), seed=st.integers(0, 2 ** 32))
+def test_snf_properties_across_lanes(side, other, flip, bound, density, seed):
+    # the smaller side is drawn uniformly, so shapes fall on both sides of
+    # _LIST_LANE_BELOW; entries near 2**30 start on the int64 lane and
+    # outgrow it, which hands the trailing block to the list lane
+    assert 1 < _LIST_LANE_BELOW <= 24
+    rng = random.Random(seed)
+    rows, cols = side, max(side, other)
+    if flip:
+        rows, cols = cols, rows
+    m = IntMatrix([[rng.randint(-bound, bound) if rng.random() < density else 0
+                    for _ in range(cols)] for _ in range(rows)])
+    f = smith_normal_form(m).invariant_factors
+    assert all(d > 0 for d in f)
+    assert all(f[i + 1] % f[i] == 0 for i in range(len(f) - 1))
+    if rows == cols:
+        det = _bareiss_det(m.data)
+        assert (len(f) == rows) == (det != 0)
+        if det:
+            assert prod(f) == abs(det)
+    mixed = _random_unimodular(rng, rows) @ m @ _random_unimodular(rng, cols)
+    assert smith_normal_form(mixed).invariant_factors == f
 
 
 def test_snf_big_entries_exact_lane():
@@ -202,10 +244,19 @@ def test_group_from_diagonal_examples():
 
 
 def test_group_from_diagonal_matches_snf_route():
-    # independent route: SNF of the literal diagonal matrix
+    # independent route: SNF of the literal diagonal matrix.  Half the
+    # multisets are built from a few primes, two of them near 2**26 and
+    # 2**40, so values share factors that a coprime base must split.
     rng = random.Random(6)
-    for _ in range(200):
-        entries = [(rng.randint(-30, 30), rng.randint(0, 3)) for _ in range(4)]
+    primes = [2, 3, 5, 7, 67108859, 1099511627689]
+    for trial in range(400):
+        if trial % 2:
+            entries = [(rng.randint(-30, 30), rng.randint(0, 3)) for _ in range(4)]
+        else:
+            entries = [(rng.choice([1, -1, 0]) * prod(
+                rng.choice(primes) ** rng.randint(0, 3)
+                for _ in range(rng.randint(1, 3))), rng.randint(0, 3))
+                for _ in range(rng.randint(1, 6))]
         flat = [v for v, m in entries for _ in range(m)]
         cols = len(flat)
         via_pairs = group_from_diagonal(entries)

@@ -1,5 +1,6 @@
 import random
-from math import comb
+import time
+from math import comb, prod
 
 import pytest
 
@@ -392,11 +393,45 @@ def test_laplacian_kernel_is_one_dimensional():
         assert res.group.free_rank == 1, (n, k, ell)
 
 
+def test_two_prime_shift_answers_quickly():
+    # with this shift an invariant factor of M_2 keeps, after its small
+    # primes, the cofactor 12208150943 * 207395767489 (primes of 34 and 38
+    # bits), which trial division cannot split in reasonable time
+    p = SchemeParams(12, 3, 3, 2)
+    lam = 4503599091023640
+    t0 = time.perf_counter()
+    group = smith_group(p, lam=lam).group
+    assert time.perf_counter() - t0 < 5
+    # nonsingular, so the order is |det|, the product of the eigenvalues
+    assert group.free_rank == 0
+    assert group.order() == prod(abs(s.eigenvalue) ** s.multiplicity
+                                 for s in eigenvalues(p, lam=lam))
+
+
+def test_order_of_a_large_group_is_fast():
+    # the (60,4) Johnson Laplacian: 456 778 invariant factors, a 3.8M-bit
+    # order.  By the matrix-tree theorem the order is the product of the
+    # nonzero Laplacian eigenvalues over the vertex count.
+    p = SchemeParams(60, 4, 4, 3)
+    lam = degree(60, 4, 3)
+    group = smith_group(p, lam=lam).group
+    t0 = time.perf_counter()
+    order = group.order()
+    assert time.perf_counter() - t0 < 5
+    want = prod(abs(s.eigenvalue) ** s.multiplicity
+                for s in eigenvalues(p, lam=lam) if s.eigenvalue)
+    assert order == want // comb(60, 4)
+
+
 def test_e_families_give_same_groups():
-    p = SchemeParams(10, 3, 3, 1)
-    base = smith_group(p, lam=1)
+    # the M_s blocks, hence the group, hold for any unimodular family with
+    # E_s W_{s,s+1} = D_{s,s+1} E_{s+1}; both families must build and pass
+    # that check for this instance
+    n, kc = 10, 3
     for family in ("recursive", "superstandard"):
-        assert smith_group(p, lam=1, e_family=family).group == base.group
+        es = e_matrices(n, kc, family)
+        for s in range(kc):
+            assert es[s] @ w_matrix(n, s, s + 1) == d_matrix(n, s, s + 1) @ es[s + 1]
 
 
 def _assert_full_conjugation_structure(p, coeffs, lam, family="recursive"):

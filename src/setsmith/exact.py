@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -133,20 +133,6 @@ class IntMatrix:
         return IntMatrix([[c * v for v in row] for row in self.data],
                          cols=self.cols)
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape() != other.shape():
-            raise ExactError("shape mismatch in addition")
-        return IntMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)],
-                         cols=self.cols)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape() != other.shape():
-            raise ExactError("shape mismatch in subtraction")
-        return IntMatrix([[a - b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)],
-                         cols=self.cols)
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ExactError("shape mismatch in product")
@@ -174,9 +160,6 @@ class IntMatrix:
         if not isinstance(other, IntMatrix):
             return NotImplemented
         return self.shape() == other.shape() and self.data == other.data
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -499,10 +482,6 @@ def smith_normal_form(m: IntMatrix, with_transforms: bool = False) -> SmithForm:
                      right=IntMatrix(a[rows:], cols=cols))
 
 
-def rank(m: IntMatrix) -> int:
-    return smith_normal_form(m).rank
-
-
 def index(m: IntMatrix) -> int:
     """Product of the invariant factors; 1 for rank zero."""
     return prod(smith_normal_form(m).invariant_factors, start=1)
@@ -660,46 +639,61 @@ def unimodular_completion(m: IntMatrix) -> IntMatrix:
 # Finitely generated abelian groups
 
 
+# JSON lists every invariant factor; past this many it refuses instead of
+# building a list that grows with C(n,k).  The text form prints runs at any size.
+_JSON_FACTOR_CAP = 10 ** 7
+
+
 @dataclass(frozen=True)
 class AbelianGroup:
-    """Canonical form: invariant factors > 1 in a divisibility chain."""
+    """Canonical form: runs (d, m) of m invariant factors equal to d, with
+    the d > 1 strictly increasing in a divisibility chain, and a free rank.
 
-    invariant_factors: tuple[int, ...] = ()
+    A run stands for its m factors without listing them, so a group costs
+    the same at any multiplicity.
+    """
+
+    runs: tuple[tuple[int, int], ...] = ()
     free_rank: int = 0
 
     def __post_init__(self):
-        facs = self.invariant_factors
-        if any(d <= 1 for d in facs):
+        runs = tuple((d, m) for d, m in self.runs)
+        object.__setattr__(self, "runs", runs)
+        if any(d <= 1 for d, _ in runs):
             raise ExactError("invariant factors must all exceed 1")
-        if any(facs[i + 1] % facs[i] for i in range(len(facs) - 1)):
-            raise ExactError("invariant factors must form a divisibility chain")
+        if any(m < 1 for _, m in runs):
+            raise ExactError("run lengths must be positive")
+        if any(b == a or b % a for (a, _), (b, _) in zip(runs, runs[1:])):
+            raise ExactError("run values must strictly increase in a "
+                             "divisibility chain")
         if self.free_rank < 0:
             raise ExactError("free rank must be nonnegative")
 
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        """Every invariant factor, smallest first: one item per factor."""
+        return tuple(d for d, m in self.runs for _ in range(m))
+
     def is_trivial(self) -> bool:
-        return not self.invariant_factors and self.free_rank == 0
+        return not self.runs and self.free_rank == 0
 
     def order(self) -> int:
         """Order of the torsion part."""
-        return _balanced_prod(self.invariant_factors)
+        return prod(d ** m for d, m in self.runs)
 
     def __str__(self) -> str:
-        terms = []
-        i = 0
-        facs = self.invariant_factors
-        while i < len(facs):
-            j = i
-            while j < len(facs) and facs[j] == facs[i]:
-                j += 1
-            count = j - i
-            term = f"Z/{facs[i]}"
-            terms.append(term if count == 1 else f"({term})^{count}")
-            i = j
+        terms = [f"Z/{d}" if m == 1 else f"(Z/{d})^{m}" for d, m in self.runs]
         if self.free_rank:
             terms.append("Z" if self.free_rank == 1 else f"Z^{self.free_rank}")
         return " + ".join(terms) if terms else "0"
 
     def to_json_dict(self) -> dict:
+        count = sum(m for _, m in self.runs)
+        if count > _JSON_FACTOR_CAP:
+            raise ExactError(
+                f"the group has {count} invariant factors, more than the "
+                f"{_JSON_FACTOR_CAP} that JSON output lists; the text output "
+                "prints them as runs")
         return {"invariant_factors": list(self.invariant_factors),
                 "free_rank": self.free_rank}
 
@@ -711,24 +705,9 @@ class AbelianGroup:
 
 def group_from_smith(snf: SmithForm, ambient_cols: int) -> AbelianGroup:
     """Smith group Z^cols / row span, given the SNF of the relation matrix."""
-    facs = tuple(d for d in snf.invariant_factors if d != 1)
-    return AbelianGroup(facs, ambient_cols - snf.rank)
-
-
-def _balanced_prod(values) -> int:
-    """Product of values taken pairwise, level by level.
-
-    Multiplying a growing product by one factor at a time costs time
-    quadratic in the length of the result; pairing operands of like size
-    keeps the cost near that of the last multiplication.
-    """
-    vals = list(values) or [1]
-    while len(vals) > 1:
-        pairs = [a * b for a, b in zip(vals[::2], vals[1::2])]
-        if len(vals) % 2:
-            pairs.append(vals[-1])
-        vals = pairs
-    return vals[0]
+    runs = tuple((d, sum(1 for _ in same))
+                 for d, same in groupby(snf.invariant_factors) if d != 1)
+    return AbelianGroup(runs, ambient_cols - snf.rank)
 
 
 def _coprime_base(values) -> list[int]:
@@ -763,7 +742,9 @@ def group_from_diagonal(entries) -> AbelianGroup:
     are dropped.  The rest is written over a coprime base, and the powers
     of each base element are zipped largest-first into invariant factors,
     as prime powers would be: the primes of one base element all share its
-    exponent pattern.
+    exponent pattern.  Exponents are kept as (exponent, count) runs and
+    zipped a run at a time, so the work grows with the number of distinct
+    values, never with the multiplicities.
     """
     free = 0
     counts: dict[int, int] = {}
@@ -775,21 +756,29 @@ def group_from_diagonal(entries) -> AbelianGroup:
             free += mult
         elif v > 1 and mult:
             counts[v] = counts.get(v, 0) + mult
-    exps: dict[int, list[int]] = {}
+    # per base element, its [exponent, count] runs, largest exponent last
+    stacks = []
     for b in _coprime_base(counts):
-        es = exps[b] = []
+        by_exp: dict[int, int] = {}
         for v, mult in counts.items():
             e = 0
             while v % b == 0:
                 v //= b
                 e += 1
             if e:
-                es.extend([e] * mult)
-        es.sort(reverse=True)
-    depth = max((len(v) for v in exps.values()), default=0)
-    factors = []
-    for i in range(depth):
-        f = prod(b ** es[i] for b, es in exps.items() if i < len(es))
-        factors.append(f)
-    factors.reverse()
-    return AbelianGroup(tuple(factors), free)
+                by_exp[e] = by_exp.get(e, 0) + mult
+        stacks.append((b, [list(run) for run in sorted(by_exp.items())]))
+    # each step takes the next `step` largest factors, where every base
+    # element keeps its exponent; then at least one run ends, so the next
+    # factor is a proper divisor of this one
+    runs = []
+    while stacks:
+        step = min(stack[-1][1] for _, stack in stacks)
+        runs.append((prod(b ** stack[-1][0] for b, stack in stacks), step))
+        for _, stack in stacks:
+            stack[-1][1] -= step
+            if not stack[-1][1]:
+                stack.pop()
+        stacks = [(b, stack) for b, stack in stacks if stack]
+    runs.reverse()
+    return AbelianGroup(tuple(runs), free)

@@ -37,6 +37,17 @@ def brute_force_group(p: SchemeParams, coeffs=None, lam: int = 0,
     return group_from_smith(smith_normal_form(m), m.cols)
 
 
+def _best_ms(fn, repeats: int = 1):
+    """Call fn() repeats times; return its last result and the best wall
+    time in milliseconds."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - t0)
+    return result, round(best * 1000, 3)
+
+
 def _exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
@@ -257,28 +268,20 @@ def verify_closed_form(theorem_id: str, n: int, cap: int = DEFAULT_CAP,
     reduction; there the structured arm is skipped and the oracle alone
     carries the comparison.
     """
-    cf = THEOREMS.get(theorem_id)
-    if cf is None:
-        raise ParameterError(
-            f"unknown theorem id {theorem_id!r}; known: {', '.join(sorted(THEOREMS))}")
-    if n < cf.min_n:
-        raise ParameterError(f"{theorem_id} requires n >= {cf.min_n}")
+    timings = {}
+    closed, timings["closed_form"] = _best_ms(
+        lambda: closed_form_group(theorem_id, n))
+    cf = THEOREMS[theorem_id]
     p = cf.params(n)
     lam = cf.lam(n)
-    timings = {}
-    t0 = time.perf_counter()
-    closed = closed_form_group(theorem_id, n)
-    timings["closed_form"] = round((time.perf_counter() - t0) * 1000, 3)
     structured = None
     if p.n >= 3 * p.kc - 1:
-        t0 = time.perf_counter()
-        structured = smith_group(p, unit_coeffs(p), lam).group
-        timings["structured"] = round((time.perf_counter() - t0) * 1000, 3)
+        structured, timings["structured"] = _best_ms(
+            lambda: smith_group(p, unit_coeffs(p), lam).group)
     oracle_group = None
     if comb(p.n, p.kc) <= cap and (with_oracle or structured is None):
-        t0 = time.perf_counter()
-        oracle_group = brute_force_group(p, unit_coeffs(p), lam, cap=cap)
-        timings["oracle"] = round((time.perf_counter() - t0) * 1000, 3)
+        oracle_group, timings["oracle"] = _best_ms(
+            lambda: brute_force_group(p, unit_coeffs(p), lam, cap=cap))
     return VerificationReport(
         theorem_id, n, structured, closed, oracle_group,
         None if structured is None else structured == closed,
@@ -326,28 +329,14 @@ def bench(p: SchemeParams, coeffs=None, lam: int = 0, repeats: int = 1,
         raise ParameterError("repeats must be positive")
     if coeffs is None:
         coeffs = unit_coeffs(p)
-    result = None
-    best_structured = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = smith_group(p, coeffs, lam)
-        dt = time.perf_counter() - t0
-        if best_structured is None or dt < best_structured:
-            best_structured = dt
+    result, structured_ms = _best_ms(lambda: smith_group(p, coeffs, lam),
+                                     repeats)
     brute_ms = None
     agree = None
     size = comb(p.n, p.kc)
     if size <= cap:
-        best_brute = None
-        brute = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            brute = brute_force_group(p, coeffs, lam, cap=cap)
-            dt = time.perf_counter() - t0
-            if best_brute is None or dt < best_brute:
-                best_brute = dt
-        brute_ms = round(best_brute * 1000, 3)
+        brute, brute_ms = _best_ms(
+            lambda: brute_force_group(p, coeffs, lam, cap=cap), repeats)
         agree = brute == result.group
     return BenchReport(p, tuple(result.coeffs), lam, repeats, size,
-                       round(best_structured * 1000, 3), brute_ms, agree,
-                       result.group)
+                       structured_ms, brute_ms, agree, result.group)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .exact import (AbelianGroup, ConstructionError, ExactError, IntMatrix,
                     group_from_diagonal, is_unimodular, smith_normal_form,
@@ -66,14 +66,7 @@ def _masks(subsets) -> list[int]:
 def intersection_matrix(p: SchemeParams) -> IntMatrix:
     """0/1 matrix with entry 1 iff |A & B| == ell, rows kr-subsets, cols
     kc-subsets, both in lexicographic order."""
-    rows = enumerate_subsets(p.n, p.kr)
-    cols = enumerate_subsets(p.n, p.kc)
-    rmask = _masks(rows)
-    cmask = _masks(cols)
-    ell = p.ell
-    data = [[1 if (a & b).bit_count() == ell else 0 for b in cmask]
-            for a in rmask]
-    return IntMatrix(data, row_labels=rows, col_labels=cols)
+    return scheme_element_matrix(p, unit_coeffs(p))
 
 
 def scheme_element_matrix(p: SchemeParams, coeffs=None, lam: int = 0) -> IntMatrix:
@@ -143,32 +136,23 @@ def _check_d_range(n: int, i: int, j: int) -> None:
             f"got n={n}, i={i}, j={j}")
 
 
+def _d_pairs(n: int, i: int, j: int) -> list[tuple[int, int]]:
+    """(C(j-s, i-s), mu_s - mu_{s-1}) for s = 0..i, with mu_{-1} = 0."""
+    return [(binomial(j - s, i - s), mu(n, s) - (mu(n, s - 1) if s else 0))
+            for s in range(i + 1)]
+
+
 def d_diag(n: int, i: int, j: int) -> list[tuple[int, int]]:
     """Diagonal entries of the diagonal form of W_{i,j} as (entry, multiplicity):
     C(j-s, i-s) with multiplicity mu_s - mu_{s-1} for s = 0..i, and zeros
     padding out the rectangular mu_i x mu_j shape."""
     _check_d_range(n, i, j)
-    out = []
-    prev = 0
-    for s in range(i + 1):
-        ms = mu(n, s)
-        out.append((binomial(j - s, i - s), ms - prev))
-        prev = ms
-    zeros = mu(n, j) - mu(n, i)
-    out.append((0, zeros))
-    return out
+    return _d_pairs(n, i, j) + [(0, mu(n, j) - mu(n, i))]
 
 
 def d_prime_entries(n: int, i: int, j: int) -> list[int]:
     """Flat length-mu_i diagonal of the square form D'_{i,j} (no zero columns)."""
-    _check_d_range(n, i, j)
-    out = []
-    prev = 0
-    for s in range(i + 1):
-        ms = mu(n, s)
-        out.extend([binomial(j - s, i - s)] * (ms - prev))
-        prev = ms
-    return out
+    return [d for d, m in d_diag(n, i, j)[:-1] for _ in range(m)]
 
 
 def d_matrix(n: int, i: int, j: int) -> IntMatrix:
@@ -178,14 +162,9 @@ def d_matrix(n: int, i: int, j: int) -> IntMatrix:
 
 def d_product(n: int, i: int, j: int) -> int:
     """prod C(j-s, i-s)^(mu_s - mu_{s-1}): the divisor bound for the index
-    of W_{i,j}."""
-    out = 1
-    prev = 0
-    for s in range(i + 1):
-        ms = mu(n, s)
-        out *= binomial(j - s, i - s) ** (ms - prev)
-        prev = ms
-    return out
+    of W_{i,j}.  Unlike d_diag it takes any i <= j, as the stacked-matrix
+    index facts need it beyond d_diag's range."""
+    return prod(d ** m for d, m in _d_pairs(n, i, j))
 
 
 # ---------------------------------------------------------------------------

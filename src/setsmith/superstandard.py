@@ -11,6 +11,7 @@ demand, validate the super-standard family as a drop-in set of E matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .exact import IntMatrix, smith_normal_form, stack
 from .scheme import ParameterError, _masks, d_matrix, w_matrix
@@ -73,9 +74,7 @@ def check_conjecture(n: int, i: int, j: int) -> ConjectureReport:
     """
     m = p_tilde(n, i, j)
     snf = smith_normal_form(m)
-    idx = 1
-    for d in snf.invariant_factors:
-        idx *= d
+    idx = prod(snf.invariant_factors, start=1)
     exp_rows, exp_cols = mu(n, i), mu(n, j)
     in_hyp = 3 * i <= n + 1 and 3 * j <= n + 1
     full_rank = snf.rank == min(m.rows, m.cols)

@@ -40,6 +40,19 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
+def test_json_refuses_groups_too_large_to_list(capsys):
+    # C(2000, 4) vertices: the text output prints runs, while JSON would
+    # list about 6.6e11 invariant factors, so it refuses
+    args = ("smith-group", "--n", "2000", "--k", "4", "--ell", "3",
+            "--lambda", "degree")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert "(Z/7988)^662007830499" in out
+    code, out, err = run(capsys, *args, "--json")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "invariant factors" in err
+
+
 def test_ms_prints_blocks(capsys):
     code, out, _ = run(capsys, "ms", "--n", "12", "--k", "3",
                        "--coeffs", "0,1,3,0", "--lambda", "0")

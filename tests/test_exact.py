@@ -24,7 +24,7 @@ def test_snf_padded_diagonal_example():
     assert snf.invariant_factors == (1, 6)
     assert snf.rank == 2
     assert index(m) == 6
-    assert group_from_smith(snf, 4) == AbelianGroup((6,), 2)
+    assert group_from_smith(snf, 4) == AbelianGroup(((6, 1),), 2)
 
 
 def test_snf_identity():
@@ -237,10 +237,11 @@ def test_stack():
 
 
 def test_group_from_diagonal_examples():
-    assert group_from_diagonal([(2, 1), (3, 1)]) == AbelianGroup((6,))
-    assert group_from_diagonal([(2, 1), (3, 1), (0, 2)]) == AbelianGroup((6,), 2)
+    assert group_from_diagonal([(2, 1), (3, 1)]) == AbelianGroup(((6, 1),))
+    assert group_from_diagonal([(2, 1), (3, 1), (0, 2)]) \
+        == AbelianGroup(((6, 1),), 2)
     assert group_from_diagonal([(1, 100)]) == AbelianGroup()
-    assert group_from_diagonal([(-6, 2)]) == AbelianGroup((6, 6))
+    assert group_from_diagonal([(-6, 2)]) == AbelianGroup(((6, 2),))
 
 
 def test_group_from_diagonal_matches_snf_route():
@@ -269,16 +270,21 @@ def test_group_from_diagonal_matches_snf_route():
 
 
 def test_group_validation_and_render():
-    with pytest.raises(ExactError):
-        AbelianGroup((1, 2))
-    with pytest.raises(ExactError):
-        AbelianGroup((4, 6))
+    for runs in [((1, 1), (2, 1)),     # a factor of 1
+                 ((4, 1), (6, 1)),     # not a divisibility chain
+                 ((2, 1), (2, 3)),     # a repeated value
+                 ((2, 1), (6, 0))]:    # an empty run
+        with pytest.raises(ExactError):
+            AbelianGroup(runs)
     with pytest.raises(ExactError):
         AbelianGroup((), -1)
     assert str(AbelianGroup()) == "0"
-    assert str(AbelianGroup((6,), 2)) == "Z/6 + Z^2"
-    assert str(AbelianGroup((2, 342))) == "Z/2 + Z/342"
-    assert str(AbelianGroup((3, 3), 1)) == "(Z/3)^2 + Z"
+    assert str(AbelianGroup(((6, 1),), 2)) == "Z/6 + Z^2"
+    assert str(AbelianGroup(((2, 1), (342, 1)))) == "Z/2 + Z/342"
+    assert str(AbelianGroup(((3, 2),), 1)) == "(Z/3)^2 + Z"
+    g = AbelianGroup([[2, 3], [6, 1]])
+    assert g.runs == ((2, 3), (6, 1)) and g == AbelianGroup(((2, 3), (6, 1)))
+    assert g.invariant_factors == (2, 2, 2, 6) and g.order() == 48
 
 
 def test_group_json_roundtrip():

@@ -1,6 +1,7 @@
 import random
 import time
-from math import comb, prod
+from itertools import combinations
+from math import comb, gcd, prod
 
 import pytest
 
@@ -11,7 +12,7 @@ from setsmith.scheme import (ParameterError, SchemeParams, bier_p,
                              eigenvalues, f_coeff, intersection_matrix,
                              ms_matrices, ms_matrix, scheme_element_matrix,
                              smith_group, triangular_check, w_matrix)
-from setsmith.exact import group_from_diagonal
+from setsmith.exact import _coprime_base, group_from_diagonal
 from setsmith.subsets import mu
 
 
@@ -421,6 +422,50 @@ def test_order_of_a_large_group_is_fast():
     want = prod(abs(s.eigenvalue) ** s.multiplicity
                 for s in eigenvalues(p, lam=lam) if s.eigenvalue)
     assert order == want // comb(60, 4)
+
+
+def _eberlein(n, k, i, j):
+    """Eigenvalue of the distance-j Johnson matrix A(n,k,k,k-j) on the i-th
+    eigenspace."""
+    return sum((-1) ** t * comb(i, t) * comb(k - i, j - t)
+               * comb(n - k - i, j - t) for t in range(j + 1))
+
+
+def _strip(x, b):
+    """(e, x / b**e) for the largest e with b**e dividing x."""
+    e = 0
+    while x % b == 0:
+        x //= b
+        e += 1
+    return e, x
+
+
+def test_group_does_not_grow_with_n():
+    # the Johnson Laplacian on C(10**6, 8) vertices, ~2.5e43 invariant
+    # factors.  By the matrix-tree theorem the torsion order is
+    # prod theta_i^mu_i / C(n,k) over the nonzero Laplacian eigenvalues;
+    # valuations over a coprime base are compared, the order is never formed
+    n, k = 10 ** 6, 8
+    p = SchemeParams(n, k, k, k - 1)
+    t0 = time.perf_counter()
+    group = smith_group(p, lam=degree(n, k, k - 1)).group
+    assert time.perf_counter() - t0 < 5
+    assert group.free_rank == 1
+    spec = [(_eberlein(n, k, 0, 1) - _eberlein(n, k, i, 1), mu(n, i))
+            for i in range(k + 1)]
+    assert spec[0] == (0, 1)
+    nonzero = spec[1:]
+    values = [t for t, _ in nonzero] + [comb(n, k)] + [d for d, _ in group.runs]
+    base = _coprime_base(values)
+    assert all(gcd(a, b) == 1 for a, b in combinations(base, 2))
+    for v in values:
+        for b in base:
+            v = _strip(v, b)[1]
+        assert v == 1
+    for b in base:
+        want = (sum(m * _strip(t, b)[0] for t, m in nonzero)
+                - _strip(comb(n, k), b)[0])
+        assert sum(m * _strip(d, b)[0] for d, m in group.runs) == want, b
 
 
 def test_e_families_give_same_groups():

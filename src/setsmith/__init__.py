@@ -6,15 +6,14 @@ from .exact import (AbelianGroup, ConstructionError, ExactError, IntMatrix,
                     group_from_smith, index, is_unimodular,
                     smith_normal_form, stack, unimodular_completion,
                     unimodular_inverse)
-from .oracle import (DEFAULT_CAP, BenchReport, SizeCapExceeded, THEOREMS,
-                     VerificationReport, bench, brute_force_group,
-                     closed_form_entries, closed_form_group,
+from .oracle import (BenchReport, THEOREMS, VerificationReport, bench,
+                     brute_force_group, closed_form_entries, closed_form_group,
                      verify_closed_form)
-from .scheme import (MsMatrix, ParameterError, SchemeParams, SmithGroupResult,
-                     SpectrumEntry, bier_p, block_multiplicity, c_coeff,
-                     d_diag, d_matrix, d_product, degree,
-                     diagonal_form_entries, e_matrices, eigenvalues, f_coeff,
-                     intersection_matrix, ms_matrices, ms_matrix,
+from .scheme import (DEFAULT_CAP, MsMatrix, ParameterError, SchemeParams,
+                     SizeCapExceeded, SmithGroupResult, SpectrumEntry, bier_p,
+                     block_multiplicity, c_coeff, d_diag, d_matrix, d_product,
+                     degree, diagonal_form_entries, e_matrices, eigenvalues,
+                     f_coeff, intersection_matrix, ms_matrices, ms_matrix,
                      scheme_element_matrix, smith_group, triangular_check,
                      unit_coeffs, w_matrix)
 from .subsets import (STANDARD, SUPER_STANDARD, UNRESTRICTED, binomial,

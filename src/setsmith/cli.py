@@ -12,10 +12,9 @@ import json
 import sys
 
 from .exact import ConstructionError, ExactError, IntMatrix, smith_normal_form
-from .oracle import (DEFAULT_CAP, THEOREMS, bench, brute_force_group,
-                     verify_closed_form)
-from .scheme import (RECURSIVE, SUPERSTANDARD, SchemeParams, degree,
-                     diagonal_form_entries, e_matrices, eigenvalues,
+from .oracle import THEOREMS, bench, brute_force_group, verify_closed_form
+from .scheme import (DEFAULT_CAP, RECURSIVE, SUPERSTANDARD, SchemeParams,
+                     degree, diagonal_form_entries, e_matrices, eigenvalues,
                      intersection_matrix, ms_matrices, bier_p, smith_group,
                      unit_coeffs, w_matrix)
 from .superstandard import check_conjecture, p_tilde

@@ -4,12 +4,12 @@ Everything here is exact.  The Smith reduction has two lanes, chosen by
 matrix size alone.  A matrix with fewer than _LIST_LANE_BELOW rows or
 columns (every M_s block) is reduced on lists of Python integers, which
 cannot overflow.  A larger one (the dense oracle's matrices) starts on a
-numpy int64 lane while every entry stays below 2**31 (quotient times entry
-then fits in int64 with room to spare), and its trailing block is handed to
-the list lane the moment that bound is threatened, so entry growth can
-never silently corrupt a result.  Transforms are always computed on the
-list lane.  Matrix products take int64 only when no dot product can
-overflow.
+numpy int64 lane, which keeps every entry below 2**62: before each row
+update it checks, in Python integers, a tracked bound on the entries plus
+the update's largest product, and hands the trailing block to the list lane
+when that would reach 2**62, so entry growth can never silently corrupt a
+result.  Transforms are always computed on the list lane.  Matrix products
+take int64 only when no dot product can overflow.
 """
 
 from __future__ import annotations
@@ -20,8 +20,12 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-# Entries at or above this bound leave the int64 lane.
-_FAST_LIMIT = 1 << 31
+# Every entry on the int64 lane stays below this.  Then negation, x + half
+# (half < 2**61), and q * p (within half a pivot of x) all fit in int64, and
+# each row update is checked in Python integers before it runs.
+_INT64_CEILING = 1 << 62
+# Score of an entry that is not a pivot candidate: above every Markowitz count.
+_NOT_A_PIVOT = np.iinfo(np.int64).max
 
 # Matrices with fewer rows or columns than this skip the int64 lane: below
 # it, numpy's per-step overhead costs more than the list lane's Python
@@ -265,76 +269,76 @@ def _chain_fix(diag: list[int], mix=None) -> None:
 
 
 def _diagonalize_fast(a: np.ndarray) -> tuple[list[int], bool]:
-    """Reduce an int64 matrix to diagonal values.
+    """Reduce an int64 matrix with every entry below _INT64_CEILING to
+    diagonal values.
 
-    Returns (pivots found so far, finished).  Quotients are rounded to
-    nearest so remainders stay within half a pivot.  The array is mutated
-    in place; when finished is False the entries got close to the int64
-    ceiling and the array holds an exact intermediate state with the first
-    len(pivots) rows and columns fully cleared, ready for the slow lane.
+    Returns (pivots found so far, finished).  A pivot is an entry of least
+    absolute value; among those, the one whose row and column hold the
+    fewest other nonzeros (Markowitz), which keeps fill-in and entry growth
+    down.  Quotients are rounded to nearest so remainders stay within half
+    a pivot.
+
+    bound is at least every |entry| of the trailing block: the pivot scan
+    reads it and each row update raises it by max|q| * max|pivot row|.  An
+    update runs only if the raised bound stays below _INT64_CEILING, checked
+    in Python integers; if it would not, bound is rescanned, and if it still
+    would not, the reduction stops.  The array is mutated in place; when
+    finished is False it holds an exact intermediate state with the first
+    len(pivots) rows and columns fully cleared, ready for the list lane.
     """
     m, n = a.shape
     t = 0
     diag: list[int] = []
-    limit = min(m, n)
-    while t < limit:
+    while t < min(m, n):
         sub = np.abs(a[t:, t:])
-        if sub.size == 0:
+        mask = sub != 0
+        rowcnt = np.count_nonzero(mask, axis=1)
+        if not rowcnt.any():
             break
-        if int(sub.max(initial=0)) >= _FAST_LIMIT:
-            return diag, False
-        nz = sub[sub > 0]
-        if nz.size == 0:
-            break
-        target = int(nz.min())
-        cand = np.argwhere(sub == target)
-        if cand.shape[0] > 1:
-            # among minimal entries prefer the sparsest row/column pair;
-            # this keeps fill-in (and hence entry growth) down
-            mask = sub > 0
-            rowcnt = mask.sum(axis=1)
-            colcnt = mask.sum(axis=0)
-            scores = (rowcnt[cand[:, 0]] - 1) * (colcnt[cand[:, 1]] - 1)
-            bi, bj = cand[int(np.argmin(scores))]
-        else:
-            bi, bj = cand[0]
-        bi, bj = int(bi) + t, int(bj) + t
+        colcnt = np.count_nonzero(mask, axis=0)
+        bound = int(sub.max())
+        # zeros wrap to the top of uint64, so this is the least nonzero |entry|
+        target = int((sub - 1).view(np.uint64).min()) + 1
+        # argmin breaks the remaining ties by the first entry in row-major order
+        score = np.where(sub == target, np.outer(rowcnt - 1, colcnt - 1),
+                         _NOT_A_PIVOT)
+        bi, bj = divmod(int(score.argmin()), n - t)
+        bi, bj = bi + t, bj + t
         if bi != t:
-            a[[t, bi]] = a[[bi, t]]
+            a[[t, bi], t:] = a[[bi, t], t:]
         if bj != t:
-            a[:, [t, bj]] = a[:, [bj, t]]
-        if a[t, t] < 0:
-            a[t] = -a[t]
+            a[t:, [t, bj]] = a[t:, [bj, t]]
         while True:
-            if int(np.abs(a[t:, t:]).max(initial=0)) >= _FAST_LIMIT:
-                return diag, False
+            if a[t, t] < 0:
+                a[t, t:] = -a[t, t:]
             p = int(a[t, t])
             half = p >> 1
             col = a[t + 1:, t]
-            nzr = np.nonzero(col)[0]
+            nzr = np.flatnonzero(col)
             if nzr.size:
-                idx = nzr + t + 1
                 q = (col[nzr] + half) // p
-                a[idx] -= q[:, None] * a[t]
-                rem = a[t + 1:, t]
-                nzr = np.nonzero(rem)[0]
+                step = int(np.abs(q).max()) * int(np.abs(a[t, t:]).max())
+                if bound + step >= _INT64_CEILING:
+                    bound = int(np.abs(a[t:, t:]).max())
+                    if bound + step >= _INT64_CEILING:
+                        return diag, False
+                bound += step
+                idx = nzr + t + 1
+                a[idx, t:] -= q[:, None] * a[t, t:]
+                rem = a[idx, t]
+                nzr = np.flatnonzero(rem)
                 if nzr.size:
                     # a remainder smaller than the pivot exists; promote it
-                    r = int(nzr[np.argmin(np.abs(rem[nzr]))]) + t + 1
-                    a[[t, r]] = a[[r, t]]
-                    if a[t, t] < 0:
-                        a[t] = -a[t]
+                    r = int(idx[nzr[np.argmin(np.abs(rem[nzr]))]])
+                    a[[t, r], t:] = a[[r, t], t:]
                     continue
             # column is clear; with column t zero elsewhere, reducing the
             # pivot row by column operations only touches row t
-            p = int(a[t, t])
-            half = p >> 1
             rowr = a[t, t + 1:]
-            nzc = np.nonzero(rowr)[0]
+            nzc = np.flatnonzero(rowr)
             if nzc.size:
-                q = (rowr[nzc] + half) // p
-                a[t, nzc + t + 1] -= q * p
-                if np.any(a[t, t + 1:]):
+                rowr[nzc] -= (rowr[nzc] + half) // p * p
+                if rowr.any():
                     break  # smaller entries appeared; re-pick the pivot
             diag.append(p)
             t += 1
@@ -444,12 +448,13 @@ def _diagonal_values(m: IntMatrix) -> list[int]:
     """Positive diagonal values of some diagonal form of m (no chain yet).
 
     Matrices with fewer than _LIST_LANE_BELOW rows or columns, and those
-    with an entry beyond the int64 lane, go straight to the list lane.  The
-    rest start on the int64 lane; if entries approach the int64 ceiling,
+    with an entry at or above _INT64_CEILING, go straight to the list lane.
+    The rest start on the int64 lane; if an update would reach the ceiling,
     the partially reduced (still exact) trailing block is handed to the
     list lane.
     """
-    if min(m.rows, m.cols) < _LIST_LANE_BELOW or m.max_abs() >= _FAST_LIMIT:
+    if (min(m.rows, m.cols) < _LIST_LANE_BELOW
+            or m.max_abs() >= _INT64_CEILING):
         return _eliminate([list(row) for row in m.data], m.rows, m.cols)
     a = np.array(m.data, dtype=np.int64)
     diag, finished = _diagonalize_fast(a)

@@ -15,15 +15,10 @@ from math import comb, gcd
 
 from .exact import AbelianGroup, ExactError, group_from_diagonal, \
     group_from_smith, smith_normal_form
-from .scheme import (ParameterError, SchemeParams, degree, scheme_element_matrix,
+from .scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
+                     SizeCapExceeded, degree, scheme_element_matrix,
                      smith_group, unit_coeffs)
 from .subsets import mu
-
-DEFAULT_CAP = 3000
-
-
-class SizeCapExceeded(ExactError):
-    """The requested dense matrix is larger than the configured cap."""
 
 
 def brute_force_group(p: SchemeParams, coeffs=None, lam: int = 0,

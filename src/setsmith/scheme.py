@@ -25,6 +25,23 @@ class ParameterError(ExactError):
     """Scheme parameters outside the supported range."""
 
 
+# Largest side of a dense matrix built on request: brute_force_group's
+# default column cap, and where intersection_matrix, bier_p, w_matrix and
+# e_matrices refuse, before they enumerate a single subset.
+DEFAULT_CAP = 3000
+
+
+class SizeCapExceeded(ExactError):
+    """The requested dense matrix is larger than the configured cap."""
+
+
+def _refuse_oversized(what: str, rows: int, cols: int) -> None:
+    if max(rows, cols) > DEFAULT_CAP:
+        raise SizeCapExceeded(
+            f"{what} would be {rows}x{cols}, above the cap of {DEFAULT_CAP} "
+            "rows or columns")
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Parameters (n, kr, kc, ell): rows are kr-subsets of {1..n}, columns
@@ -66,6 +83,8 @@ def _masks(subsets) -> list[int]:
 def intersection_matrix(p: SchemeParams) -> IntMatrix:
     """0/1 matrix with entry 1 iff |A & B| == ell, rows kr-subsets, cols
     kc-subsets, both in lexicographic order."""
+    _refuse_oversized(f"A({p.n},{p.kr},{p.kc},{p.ell})",
+                      comb(p.n, p.kr), comb(p.n, p.kc))
     return scheme_element_matrix(p, unit_coeffs(p))
 
 
@@ -90,6 +109,8 @@ def bier_p(n: int, k: int) -> IntMatrix:
     Square and unimodular once n >= 2k - 1."""
     if not 0 <= k <= n:
         raise ParameterError("need 0 <= k <= n")
+    _refuse_oversized(f"P({n},{k})", comb(n, k),
+                      sum(mu(n, s) for s in range(k + 1)))
     rows = enumerate_subsets(n, k)
     cols = enumerate_subsets(n, k, STANDARD, up_to=True)
     rmask = _masks(rows)
@@ -105,6 +126,7 @@ def w_matrix(n: int, i: int, j: int) -> IntMatrix:
     """
     if i < 0 or j < 0:
         raise ParameterError("need i, j >= 0")
+    _refuse_oversized(f"W({n},{i},{j})", mu(n, i), mu(n, j))
     rows = enumerate_subsets(n, i, STANDARD)
     cols = enumerate_subsets(n, j, STANDARD)
     if i > j:
@@ -162,9 +184,18 @@ def d_matrix(n: int, i: int, j: int) -> IntMatrix:
 
 def d_product(n: int, i: int, j: int) -> int:
     """prod C(j-s, i-s)^(mu_s - mu_{s-1}): the divisor bound for the index
-    of W_{i,j}.  Unlike d_diag it takes any i <= j, as the stacked-matrix
+    of W_{i,j}.  Unlike d_diag it takes any 0 <= i <= j whose exponents are
+    all nonnegative (every 2j + i <= n among them), as the stacked-matrix
     index facts need it beyond d_diag's range."""
-    return prod(d ** m for d, m in _d_pairs(n, i, j))
+    if not (0 <= i <= j and n >= 0):
+        raise ParameterError(f"d_product needs 0 <= i <= j and n >= 0, "
+                             f"got n={n}, i={i}, j={j}")
+    pairs = _d_pairs(n, i, j)
+    if any(m < 0 for _, m in pairs):
+        raise ParameterError(
+            f"d_product(n={n}, i={i}, j={j}) has a negative exponent "
+            "mu_s - mu_{s-1}: mu(n, s) decreases there")
+    return prod(d ** m for d, m in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +269,8 @@ def e_matrices(n: int, k_max: int, family: str = RECURSIVE) -> list[IntMatrix]:
             f"the E construction needs k_max <= (n+1)/3, got n={n}, k_max={k_max}")
     if family not in (RECURSIVE, SUPERSTANDARD):
         raise ParameterError(f"unknown E family {family!r}")
+    size = max(mu(n, s) for s in range(k_max + 1))
+    _refuse_oversized(f"E_0..E_{k_max} at n={n}", size, size)
     with _E_LOCK:
         es = _E_CACHE.setdefault((n, family), [IntMatrix([[1]])])
         if family == RECURSIVE:

@@ -49,6 +49,8 @@ def _subsets_of_size(n: int, k: int, kind: str) -> tuple[Subset, ...]:
         raise ValueError(f"unknown subset kind {kind!r}")
     if k < 0 or k > n:
         return ()
+    if kind != UNRESTRICTED and 2 * k > n:
+        return ()  # a standard subset holds 2i at position i or above
     all_k = combinations(range(1, n + 1), k)
     if kind == UNRESTRICTED:
         return tuple(all_k)

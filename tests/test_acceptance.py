@@ -60,7 +60,7 @@ def test_criterion_2_oracle_sweep(capsys):
     t0 = time.perf_counter()
     checked = 0
     mismatches = []
-    for n in range(2, 11):
+    for n in range(2, 12):
         for kc in (1, 2, 3):
             if n < 3 * kc - 1:
                 continue
@@ -80,7 +80,7 @@ def test_criterion_2_oracle_sweep(capsys):
     ok = not mismatches and elapsed < 600
     with capsys.disabled():
         _report(2, ok, f"structured == brute force on {checked} parameter "
-                       f"tuples, n <= 10 ({elapsed:.1f}s)")
+                       f"tuples, n <= 11 ({elapsed:.1f}s)")
 
 
 CLOSED_FORM_SWEEP = [
@@ -237,7 +237,7 @@ def test_criterion_5_appendix_suite(capsys):
     # and E_s W_{s,s+1} = D_{s,s+1} E_{s+1}; it raises otherwise) on every
     # instance of the sweep of criterion 2, so the blocks, hence the groups,
     # follow there as for the recursive family
-    for n in range(2, 11):
+    for n in range(2, 12):
         for kc in (1, 2, 3):
             if n >= 3 * kc - 1:
                 e_matrices(n, kc, "superstandard")

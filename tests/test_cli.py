@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -51,6 +52,20 @@ def test_json_refuses_groups_too_large_to_list(capsys):
     code, out, err = run(capsys, *args, "--json")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "invariant factors" in err
+
+
+def test_export_refuses_oversized_matrices(capsys):
+    # each would have more than DEFAULT_CAP rows or columns; the refusal
+    # comes before any subset is enumerated
+    cases = [("A", "--n", "1000", "--kr", "3", "--kc", "3", "--ell", "1"),
+             ("W", "--n", "1000", "--i", "2", "--j", "3"),
+             ("E", "--n", "20", "--s", "5")]
+    for which, *flags in cases:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "export-matrix", "--which", which, *flags)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "above the cap of 3000" in err
 
 
 def test_ms_prints_blocks(capsys):

@@ -1,11 +1,13 @@
 import random
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setsmith.exact import (_LIST_LANE_BELOW, AbelianGroup, ExactError,
-                            IntMatrix, _bareiss_det, gcd_minors,
+from setsmith.exact import (_INT64_CEILING, _LIST_LANE_BELOW, AbelianGroup,
+                            ExactError, IntMatrix, _bareiss_det, _chain_fix,
+                            _diagonalize_fast, _eliminate, gcd_minors,
                             group_from_diagonal, group_from_smith, index,
                             is_unimodular, smith_normal_form, stack,
                             unimodular_completion, unimodular_inverse)
@@ -84,13 +86,15 @@ def _random_unimodular(rng, n):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(side=st.integers(1, 24), other=st.integers(1, 24),
-       flip=st.booleans(), bound=st.sampled_from([1, 9, 2 ** 20, 2 ** 30, 2 ** 40]),
+@given(side=st.integers(1, 24), other=st.integers(1, 24), flip=st.booleans(),
+       bound=st.sampled_from([1, 9, 2 ** 20, 2 ** 30, 2 ** 40, 2 ** 61,
+                              2 ** 62 - 1]),
        density=st.sampled_from([0.3, 1.0]), seed=st.integers(0, 2 ** 32))
 def test_snf_properties_across_lanes(side, other, flip, bound, density, seed):
     # the smaller side is drawn uniformly, so shapes fall on both sides of
-    # _LIST_LANE_BELOW; entries near 2**30 start on the int64 lane and
-    # outgrow it, which hands the trailing block to the list lane
+    # _LIST_LANE_BELOW; entries near 2**61 start on the int64 lane and
+    # outgrow it, which hands the trailing block to the list lane, and
+    # entries of 2**62 or more take the list lane from the start
     assert 1 < _LIST_LANE_BELOW <= 24
     rng = random.Random(seed)
     rows, cols = side, max(side, other)
@@ -108,6 +112,56 @@ def test_snf_properties_across_lanes(side, other, flip, bound, density, seed):
             assert prod(f) == abs(det)
     mixed = _random_unimodular(rng, rows) @ m @ _random_unimodular(rng, cols)
     assert smith_normal_form(mixed).invariant_factors == f
+
+
+def _ceiling_case(corner, lower):
+    """[[1, 2**30], [2**30, corner]] beside the square block lower.  The
+    pivot is the 1, and its one row update subtracts 2**30 * 2**30 from
+    corner, the largest |entry|, so it lands at corner - 2**60."""
+    size = 2 + len(lower)
+    data = [[0] * size for _ in range(size)]
+    data[0][:2] = [1, 2 ** 30]
+    data[1][:2] = [2 ** 30, corner]
+    for i, row in enumerate(lower):
+        data[2 + i][2:] = row
+    return IntMatrix(data)
+
+
+def _lane_factors(m):
+    """Factors of m on the list lane alone, and through smith_normal_form;
+    both must be the same chain, of product |det m|."""
+    diag = sorted(_eliminate([list(row) for row in m.data], m.rows, m.cols))
+    _chain_fix(diag)
+    f = smith_normal_form(m).invariant_factors
+    assert f == tuple(diag)
+    assert prod(f) == abs(_bareiss_det(m.data)) != 0
+    return f
+
+
+def test_int64_lane_hands_off_at_the_ceiling():
+    # the first update would set entry (1, 1) to -3*2**60 - 2**60 = -2**62:
+    # the lane must stop before it, with nothing reduced
+    rng = random.Random(5)
+    lower = [[rng.choice([-9, -5, -2, 0, 2, 3, 7]) for _ in range(18)]
+             for _ in range(18)]
+    m = _ceiling_case(-3 * 2 ** 60, lower)
+    assert m.cols >= _LIST_LANE_BELOW and m.max_abs() < _INT64_CEILING
+    a = np.array(m.data, dtype=np.int64)
+    assert _diagonalize_fast(a) == ([], False)
+    assert a.tolist() == m.data
+    _lane_factors(m)
+
+    # one below the ceiling the update runs, and with no other update
+    # needed the lane finishes on its own
+    m = _ceiling_case(-3 * 2 ** 60 + 1, [[(2 + 3 * i) * (i == j)
+                                          for j in range(18)] for i in range(18)])
+    a = np.array(m.data, dtype=np.int64)
+    diag, finished = _diagonalize_fast(a)
+    assert finished and len(diag) == m.cols
+    assert -(2 ** 62) < int(a.min()) and int(a.max()) < 2 ** 62
+    diag.sort()
+    _chain_fix(diag)
+    assert tuple(diag) == _lane_factors(m)
 
 
 def test_snf_big_entries_exact_lane():

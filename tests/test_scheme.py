@@ -6,7 +6,8 @@ from math import comb, gcd, prod
 import pytest
 
 from setsmith.exact import IntMatrix, is_unimodular
-from setsmith.scheme import (ParameterError, SchemeParams, bier_p,
+from setsmith.scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
+                             SizeCapExceeded, bier_p,
                              block_multiplicity, c_coeff, d_diag, d_matrix,
                              d_product, d_prime_entries, degree, e_matrices,
                              eigenvalues, f_coeff, intersection_matrix,
@@ -160,6 +161,46 @@ def test_d_diag():
     assert d_prime_entries(12, 2, 3) == [3] + [2] * 10 + [1] * 43
     with pytest.raises(ParameterError):
         d_diag(8, 2, 4)
+
+
+def test_d_product_range():
+    # an int on acceptance criterion 4's range 2j + i <= n, and a refusal,
+    # never a float or an OverflowError, everywhere else
+    for n in range(20):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                if 2 * j + i <= n:
+                    got = d_product(n, i, j)
+                    assert type(got) is int and got >= 1, (n, i, j)
+                else:
+                    try:
+                        got = d_product(n, i, j)
+                    except ParameterError:
+                        continue
+                    assert type(got) is int and got >= 1, (n, i, j)
+    for args in [(0, 1, 1), (12, -1, 2), (12, 3, 2), (-1, 0, 0), (19, 9, 9)]:
+        with pytest.raises(ParameterError):
+            d_product(*args)
+
+
+def test_oversized_builds_refuse_fast():
+    # e_matrices(20, 5) needs 10659 x 10659 matrices; it used to run for
+    # minutes before anything was refused
+    for build in (lambda: e_matrices(20, 5),
+                  lambda: e_matrices(20, 5, "superstandard"),
+                  lambda: intersection_matrix(SchemeParams(1000, 3, 3, 1)),
+                  lambda: bier_p(1000, 3),
+                  lambda: w_matrix(1000, 2, 3)):
+        t0 = time.perf_counter()
+        with pytest.raises(SizeCapExceeded):
+            build()
+        assert time.perf_counter() - t0 < 1
+    # the cap is inclusive, and it bounds the matrix, not the subsets it
+    # would scan: no 30-subset of 40 points is standard
+    assert w_matrix(DEFAULT_CAP + 1, 0, 1).shape() == (1, DEFAULT_CAP)
+    with pytest.raises(SizeCapExceeded):
+        w_matrix(DEFAULT_CAP + 2, 0, 1)
+    assert w_matrix(40, 0, 30).shape() == (1, 0)
 
 
 def test_e_matrices_construction():

@@ -6,10 +6,13 @@ columns (every M_s block) is reduced on lists of Python integers, which
 cannot overflow.  A larger one (the dense oracle's matrices) starts on a
 numpy int64 lane, which keeps every entry below 2**62: before each row
 update it checks, in Python integers, a tracked bound on the entries plus
-the update's largest product, and hands the trailing block to the list lane
-when that would reach 2**62, so entry growth can never silently corrupt a
-result.  Transforms are always computed on the list lane.  Matrix products
-take int64 only when no dot product can overflow.
+the update's largest product, and stops when that would reach 2**62, so
+entry growth can never silently corrupt a result.
+
+A trailing block the int64 lane stops on is finished in word-size
+arithmetic by the valence method (setsmith.valence), or, where that
+refuses, on the list lane.  Transforms are always computed on the list
+lane.  Matrix products take int64 only when no dot product can overflow.
 """
 
 from __future__ import annotations
@@ -284,7 +287,7 @@ def _diagonalize_fast(a: np.ndarray) -> tuple[list[int], bool]:
     in Python integers; if it would not, bound is rescanned, and if it still
     would not, the reduction stops.  The array is mutated in place; when
     finished is False it holds an exact intermediate state with the first
-    len(pivots) rows and columns fully cleared, ready for the list lane.
+    len(pivots) rows and columns fully cleared, ready to be finished.
     """
     m, n = a.shape
     t = 0
@@ -450,8 +453,9 @@ def _diagonal_values(m: IntMatrix) -> list[int]:
     Matrices with fewer than _LIST_LANE_BELOW rows or columns, and those
     with an entry at or above _INT64_CEILING, go straight to the list lane.
     The rest start on the int64 lane; if an update would reach the ceiling,
-    the partially reduced (still exact) trailing block is handed to the
-    list lane.
+    the partially reduced (still exact) trailing block is finished modulo
+    prime powers bounded by the valence (valence.valence_finish), or, where
+    that refuses, on the list lane.
     """
     if (min(m.rows, m.cols) < _LIST_LANE_BELOW
             or m.max_abs() >= _INT64_CEILING):
@@ -459,8 +463,14 @@ def _diagonal_values(m: IntMatrix) -> list[int]:
     a = np.array(m.data, dtype=np.int64)
     diag, finished = _diagonalize_fast(a)
     if not finished:
+        # imported on first use: a cold start compiles every module it
+        # imports, and most calls never hand off
+        from .valence import valence_finish
         t = len(diag)
-        diag += _eliminate(a[t:, t:].tolist(), m.rows - t, m.cols - t)
+        rest = valence_finish(m, a[t:, t:])
+        if rest is None:
+            rest = _eliminate(a[t:, t:].tolist(), m.rows - t, m.cols - t)
+        diag += rest
     return diag
 
 
@@ -674,10 +684,16 @@ class AbelianGroup:
         if self.free_rank < 0:
             raise ExactError("free rank must be nonnegative")
 
+    def _factor_list(self) -> list[int]:
+        out: list[int] = []
+        for d, m in self.runs:
+            out += [d] * m
+        return out
+
     @property
     def invariant_factors(self) -> tuple[int, ...]:
         """Every invariant factor, smallest first: one item per factor."""
-        return tuple(d for d, m in self.runs for _ in range(m))
+        return tuple(self._factor_list())
 
     def is_trivial(self) -> bool:
         return not self.runs and self.free_rank == 0
@@ -699,7 +715,7 @@ class AbelianGroup:
                 f"the group has {count} invariant factors, more than the "
                 f"{_JSON_FACTOR_CAP} that JSON output lists; the text output "
                 "prints them as runs")
-        return {"invariant_factors": list(self.invariant_factors),
+        return {"invariant_factors": self._factor_list(),
                 "free_rank": self.free_rank}
 
     @classmethod

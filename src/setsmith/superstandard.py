@@ -11,10 +11,11 @@ demand, validate the super-standard family as a drop-in set of E matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import comb, prod
 
 from .exact import IntMatrix, smith_normal_form, stack
-from .scheme import ParameterError, _masks, d_matrix, w_matrix
+from .scheme import (ParameterError, _masks, _refuse_oversized, d_matrix,
+                     w_matrix)
 from .subsets import (STANDARD, SUPER_STANDARD, enumerate_subsets,
                       is_boundary, mu, phi)
 
@@ -33,7 +34,17 @@ def w_tilde(n: int, i: int, j: int) -> IntMatrix:
 
 def p_tilde(n: int, i: int, j: int) -> IntMatrix:
     """Stack of w_tilde(n, s, j) for s = 0..i: rows are super-standard
-    subsets of size <= i (ascending size, then lexicographic)."""
+    subsets of size <= i (ascending size, then lexicographic).
+
+    Refuses with SizeCapExceeded, before enumerating, when the standard
+    subsets of size <= i (a superset of the rows: their count is
+    sum_{s <= i} mu(n, s) = C(n, min(i, (n+1)/2))) or the standard
+    j-subsets (the columns) number more than DEFAULT_CAP.
+    """
+    if n < 0 or i < 0 or j < 0:
+        raise ParameterError("need n, i, j >= 0")
+    _refuse_oversized(f"Ptilde({n},{i},{j})", comb(n, min(i, (n + 1) // 2)),
+                      mu(n, j))
     return stack([w_tilde(n, s, j) for s in range(i + 1)])
 
 

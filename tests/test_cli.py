@@ -68,6 +68,21 @@ def test_export_refuses_oversized_matrices(capsys):
         assert err.startswith("error:") and "above the cap of 3000" in err
 
 
+def test_export_ptilde_refuses_oversized_matrices(capsys):
+    # super-standard subsets are standard, so the C(1000, 3) standard
+    # subsets of size <= 3 bound the rows; the refusal comes before any
+    # subset is enumerated
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "export-matrix", "--which", "Ptilde",
+                         "--n", "1000", "--i", "3", "--j", "0")
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "above the cap of 3000" in err
+    code, out, err = run(capsys, "export-matrix", "--which", "Ptilde",
+                         "--n", "7", "--i", "2", "--j", "2")
+    assert code == 0 and out.startswith("14 14\n")
+
+
 def test_ms_prints_blocks(capsys):
     code, out, _ = run(capsys, "ms", "--n", "12", "--k", "3",
                        "--coeffs", "0,1,3,0", "--lambda", "0")

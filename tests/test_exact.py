@@ -3,14 +3,17 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from setsmith.exact import (_INT64_CEILING, _LIST_LANE_BELOW, AbelianGroup,
-                            ExactError, IntMatrix, _bareiss_det, _chain_fix,
-                            _diagonalize_fast, _eliminate, gcd_minors,
-                            group_from_diagonal, group_from_smith, index,
-                            is_unimodular, smith_normal_form, stack,
+                            ExactError, IntMatrix, SmithForm, _bareiss_det,
+                            _chain_fix, _diagonalize_fast, _eliminate,
+                            gcd_minors, group_from_diagonal, group_from_smith,
+                            index, is_unimodular, smith_normal_form, stack,
                             unimodular_completion, unimodular_inverse)
+from setsmith.scheme import (SchemeParams, eigenvalues, scheme_element_matrix,
+                             smith_group)
+from setsmith.valence import valence_finish
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -162,6 +165,159 @@ def test_int64_lane_hands_off_at_the_ceiling():
     diag.sort()
     _chain_fix(diag)
     assert tuple(diag) == _lane_factors(m)
+
+
+def test_int64_lane_bound_follows_a_long_chain_on_one_pivot():
+    # rows (a, 2**16) and (b, -2**16) with consecutive Fibonacci numbers
+    # a < b, the least entries: the pivot a starts a Euclidean chain of
+    # about 30 row updates on one pivot, with no pivot scan between them,
+    # and each update multiplies the second column by about 2.6.  The
+    # scan's bound is below 2**47, so only the bound raised by each update
+    # stops the lane before an entry reaches 2**62.
+    a, b = 1, 2
+    for _ in range(64):
+        a, b = b, a + b
+    data = [[0] * 20 for _ in range(20)]
+    data[0][:2] = [a, 2 ** 16]
+    data[1][:2] = [b, -(2 ** 16)]
+    for i in range(2, 20):
+        data[i][i] = b + i
+    m = IntMatrix(data)
+    assert m.max_abs() < 2 ** 47
+    arr = np.array(m.data, dtype=np.int64)
+    _diagonalize_fast(arr)
+    assert -(2 ** 62) < int(arr.min()) and int(arr.max()) < 2 ** 62
+    _lane_factors(m)
+
+
+def _chain(values):
+    values = sorted(values)
+    _chain_fix(values)
+    return tuple(values)
+
+
+def _handoff(m):
+    """The int64 lane's pivots on m and the trailing block it hands off."""
+    a = np.array(m.data, dtype=np.int64)
+    diag, finished = _diagonalize_fast(a)
+    assert not finished
+    return diag, a[len(diag):, len(diag):]
+
+
+def _with_unit_pair(lower, width=None):
+    """[[1, 2**31], [2**31, 2**62 - 1]], of determinant -1, beside the
+    block lower.  The 1 is the first pivot and its row update would reach
+    2**62, so the int64 lane hands off the whole matrix."""
+    width = width or len(lower)
+    data = [[0] * (2 + width) for _ in range(2 + len(lower))]
+    data[0][:2] = [1, 2 ** 31]
+    data[1][:2] = [2 ** 31, 2 ** 62 - 1]
+    for i, row in enumerate(lower):
+        data[2 + i][2:2 + len(row)] = row
+    return IntMatrix(data)
+
+
+def _diag(values):
+    return [[v * (i == j) for j in range(len(values))]
+            for i, v in enumerate(values)]
+
+
+def _nilpotent_corner(size):
+    """diag(2, 3, 2, 3, ...) with a nilpotent [[0, 2], [0, 0]] in the
+    corner: not symmetric, and x^2 divides its minimal polynomial."""
+    data = _diag([2 + i % 2 for i in range(size)])
+    data[0][0], data[0][1], data[1][1] = 0, 2, 0
+    return data
+
+
+# each fallback: a matrix the int64 lane hands off and the valence finish
+# refuses, so the list lane reduces the block
+_REFUSED = {
+    "non-square": _with_unit_pair([row + [5] for row in _diag([2, 3] * 9)],
+                                  width=19),
+    "x^2 divides mu": _with_unit_pair(_nilpotent_corner(18)),
+    "degree over the cap": _with_unit_pair(_diag(range(2, 20))),
+    "p^e at least 2^31": _with_unit_pair(_diag([2 ** 31] * 18)),
+    "cofactor too large to factor": _with_unit_pair(_diag([65537 * 65539] * 18)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_valence_finish_refusals_fall_back_to_the_list_lane(case):
+    m = _REFUSED[case]
+    assert min(m.rows, m.cols) >= _LIST_LANE_BELOW
+    diag, block = _handoff(m)
+    assert valence_finish(m, block.copy()) is None
+    listed = _eliminate(block.tolist(), *block.shape)
+    f = smith_normal_form(m).invariant_factors
+    assert f == _chain(diag + listed)
+    full = _eliminate([list(row) for row in m.data], m.rows, m.cols)
+    assert f == _chain(full)
+
+
+def test_valence_finish_answers_past_the_unit_pair():
+    # the same hand-off with a block the finish accepts: f = (x^2 - 2**62 x
+    # - 1)(x - 2)(x - 3)(x - 6), valence 36
+    m = _with_unit_pair(_diag([2, 3, 6] * 6))
+    diag, block = _handoff(m)
+    rest = valence_finish(m, block.copy())
+    assert rest is not None
+    assert _chain(diag + rest) == _chain(_eliminate(block.tolist(), *block.shape))
+    assert smith_normal_form(m).invariant_factors == (1,) * 8 + (6,) * 12
+    # singular: a zero row and column, so the rank comes from a prime
+    # that does not divide the valence
+    m = _with_unit_pair(_diag([0, 2, 3, 6] * 4 + [4, 9]))
+    diag, block = _handoff(m)
+    rest = valence_finish(m, block.copy())
+    assert rest is not None and len(diag) + len(rest) == 20 - 4
+    assert _chain(diag + rest) == _chain(_eliminate(block.tolist(), *block.shape))
+
+
+def test_valence_finish_matches_eliminate_on_scheme_elements():
+    # scheme elements the int64 lane hands off: coefficients of 2 to 4
+    # digits, n <= 12, k <= 3, shifts of 0, at an eigenvalue (singular),
+    # and at an eigenvalue minus a product of many small primes.  Where the
+    # finish answers it must agree with the block reduction, and, where the
+    # handed-off block is small enough for the list lane to be quick, with
+    # _eliminate on that block too.  It may refuse (a prime-rich shift
+    # moves the other eigenvalues near 5e5, and two prime factors above
+    # 2**16 leave a cofactor it cannot factor), but not often.
+    answered = []
+
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(k=st.sampled_from([2, 3]), n=st.integers(7, 12),
+           digits=st.integers(2, 4), data=st.data())
+    def check(k, n, digits, data):
+        assume(n >= 3 * k - 1)
+        top = 10 ** digits - 1
+        coeffs = tuple(data.draw(st.integers(-top, top)) for _ in range(k + 1))
+        p = SchemeParams(n, k, k, k)
+        spectrum = [e.eigenvalue for e in eigenvalues(p, coeffs)]
+        shift = data.draw(st.sampled_from(["none", "eigenvalue", "prime-rich"]))
+        lam = 0
+        if shift != "none":
+            lam = data.draw(st.sampled_from(spectrum))
+        if shift == "prime-rich":
+            lam -= data.draw(st.sampled_from([720720, 2 ** 10 * 3 ** 5 * 7,
+                                              2 * 3 * 5 * 7 * 11 * 13 * 17,
+                                              -(2 ** 4 * 3 ** 3 * 5 ** 2 * 19)]))
+        m = scheme_element_matrix(p, coeffs, lam)
+        a = np.array(m.data, dtype=np.int64)
+        diag, finished = _diagonalize_fast(a)
+        assume(not finished)
+        block = a[len(diag):, len(diag):]
+        rest = valence_finish(m, block.copy())
+        answered.append(rest is not None)
+        if rest is None:
+            return
+        f = _chain(diag + rest)
+        assert group_from_smith(SmithForm(f, len(f)), m.cols) \
+            == smith_group(p, coeffs, lam).group
+        if block.shape[0] <= 64:
+            assert f == _chain(diag + _eliminate(block.tolist(), *block.shape))
+
+    check()
+    assert len(answered) >= 12 and 4 * sum(answered) >= 3 * len(answered)
 
 
 def test_snf_big_entries_exact_lane():

@@ -9,7 +9,7 @@ from setsmith.exact import (AbelianGroup, IntMatrix, group_from_diagonal,
 from setsmith.oracle import (SizeCapExceeded, THEOREMS, bench,
                              brute_force_group, closed_form_entries,
                              closed_form_group, verify_closed_form)
-from setsmith.scheme import (ParameterError, SchemeParams,
+from setsmith.scheme import (ParameterError, SchemeParams, eigenvalues,
                              scheme_element_matrix, smith_group)
 
 
@@ -93,15 +93,20 @@ def test_verify_below_reduction_range_uses_oracle_only():
 
 
 def test_oracle_equivalence_random_combinations():
+    # two-digit coefficients and shifts, and shifts at an eigenvalue (a
+    # singular matrix); n = 11, 12 take fewer draws, each dense SNF there
+    # costing up to 0.5 s
     rng = random.Random(99)
-    for n in range(2, 11):
+    for n in range(2, 13):
         for k in (1, 2, 3):
             if n < 3 * k - 1:
                 continue
             p = SchemeParams(n, k, k, k)
-            for _ in range(20):
-                coeffs = tuple(rng.randint(-3, 3) for _ in range(k + 1))
-                lam = rng.choice([0, 1, -1, rng.randint(-3, 3)])
+            for _ in range(20 if n <= 10 else 8):
+                coeffs = tuple(rng.randint(-99, 99) for _ in range(k + 1))
+                spectrum = [e.eigenvalue for e in eigenvalues(p, coeffs)]
+                lam = rng.choice([0, 1, -1, rng.randint(-99, 99),
+                                  rng.choice(spectrum)])
                 structured = smith_group(p, coeffs, lam).group
                 brute = brute_force_group(p, coeffs, lam)
                 assert structured == brute, (n, k, coeffs, lam)

@@ -14,7 +14,6 @@ of 2**32 or more after trial division below 2**16, and a prime power of
 
 from __future__ import annotations
 
-from math import prod
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -166,39 +165,29 @@ def _annihilates(a: np.ndarray, coeffs: list[int], bound: int) -> bool:
     return True
 
 
-def _unit_pivots(w: np.ndarray, mod: int, rad: int) -> int:
-    """Eliminate w, entries in [0, mod), modulo mod in place, with pivots
-    prime to rad, the product of the primes of mod; return the pivot count
-    r.  w[r:, r:] is then the Schur complement, reduced into [0, mod), with
-    no entry prime to mod.
+def _unit_pivots(w: np.ndarray, mod: int, p: int) -> int:
+    """Eliminate w, entries in [0, mod), modulo the power mod of the prime
+    p in place, with pivots prime to p; return the pivot count r.
+    w[r:, r:] is then the Schur complement, reduced into [0, mod), with
+    every entry a multiple of p.
 
-    A column with no unit moves behind the columns still to try; under a
-    prime power it never gains one, under a product of prime powers the
-    remaining block is searched once more when only such columns are left.
-    The trailing block is reduced only when int64 runs out of headroom:
-    the pivot column and row are reduced, so each update subtracts less
-    than mod**2 <= 2**62 from an entry.
+    A column with no unit moves to the back; it never gains one, since the
+    pivot row's entry in it is a multiple of p too.  The trailing block is
+    reduced only when int64 runs out of headroom: the pivot column and row
+    are reduced, so each update subtracts less than mod**2 <= 2**62 from an
+    entry.
     """
-    rows, cols = w.shape
-    r, live = 0, cols          # columns r..live-1 have not failed yet
+    rows, live = w.shape
+    r = 0
     headroom = ((1 << 63) - mod) // (mod - 1) ** 2
     spent = 0
-    while r < min(rows, cols):
-        if r == live:
-            mask = np.gcd(w[r:, r:], rad) == 1
-            k = int(mask.argmax())
-            if not mask.flat[k]:
-                break
-            i, j = divmod(k, cols - r)
-            i, live = i + r, cols
-            w[r:, [r, r + j]] = w[r:, [r + j, r]]
-        else:
-            hits = np.flatnonzero(np.gcd(w[r:, r], rad) == 1)
-            if not hits.size:
-                live -= 1
-                w[r:, [r, live]] = w[r:, [live, r]]
-                continue
-            i = r + int(hits[0])
+    while r < min(rows, live):
+        hits = np.flatnonzero(w[r:, r] % p)
+        if not hits.size:
+            live -= 1
+            w[r:, [r, live]] = w[r:, [live, r]]
+            continue
+        i = r + int(hits[0])
         if i != r:
             row = w[r].copy()
             w[r] = w[i]
@@ -215,35 +204,21 @@ def _unit_pivots(w: np.ndarray, mod: int, rad: int) -> int:
     return r
 
 
-def _local_counts(w: np.ndarray, mods, out: dict, shared: int = 0) -> None:
-    """For each (p, e) in mods, out[p] = how many local invariant factors
-    of w have p-adic valuation 0, 1, ..., e-1, plus shared at 0.
-
-    The prime powers share one elimination, with pivots that are units
-    for all of them, while their product stays below _LOCAL_MODULUS; when
-    no common unit is left they split into two halves, and a single prime
-    power divides by p whenever it has no unit left.
-    """
-    mod = prod(p ** e for p, e in mods)
-    if len(mods) == 1 or mod < _LOCAL_MODULUS:
-        w = w % mod
-        r = _unit_pivots(w, mod, prod(p for p, _ in mods))
-        shared += r
-        w = w[r:, r:]
-    if len(mods) > 1:
-        for half in (mods[::2], mods[1::2]):
-            _local_counts(w, half, out, shared)
-        return
-    (p, e), = mods
-    counts = [shared]
-    while len(counts) < e and w.any():
-        # no unit is left, so every entry is a multiple of p
-        w = w // p
-        mod //= p
+def _local_counts(block: np.ndarray, p: int, e: int) -> list[int]:
+    """How many local invariant factors of block at p have valuation 0, 1,
+    ..., e - 1: eliminate modulo p**e with unit pivots, and divide what is
+    left by p whenever no unit is left."""
+    mod = p ** e
+    w = block % mod
+    counts = []
+    while True:
         r = _unit_pivots(w, mod, p)
         counts.append(r)
         w = w[r:, r:]
-    out[p] = counts + [0] * (e - len(counts))
+        if len(counts) == e or not w.any():
+            return counts + [0] * (e - len(counts))
+        w = w // p
+        mod //= p
 
 
 def valence_finish(m: IntMatrix, block: np.ndarray) -> list[int] | None:
@@ -295,21 +270,18 @@ def valence_finish(m: IntMatrix, block: np.ndarray) -> list[int] | None:
             or any(p ** e >= _LOCAL_MODULUS for p, e in factors.items())
             or not _annihilates(a, coeffs, bound)):
         return None
-    mods = sorted(factors.items(), key=lambda pe: -pe[0] ** pe[1])
-    rank_prime = None
+    rank = block.shape[0]
     if s:
         # v is below the CRT modulus, a product of at most 64 primes below
         # 2**31, and the primes below 2**16 multiply to far more than that,
         # so one of them does not divide v
         rank_prime = next(p for p in _trial_divisors() if v % p and _is_prime(p))
-        mods.append((rank_prime, 1))
-    counts: dict[int, list[int]] = {}
-    _local_counts(block, mods, counts)
-    rank = counts.pop(rank_prime)[0] if s else block.shape[0]
+        rank = _local_counts(block, rank_prime, 1)[0]
     values = [1] * rank
-    for p, cs in counts.items():
+    for p, e in factors.items():
         i = 0
-        for j, c in enumerate(cs + [rank - sum(cs)]):
+        counts = _local_counts(block, p, e)
+        for j, c in enumerate(counts + [rank - sum(counts)]):
             for k in range(i, i + c):
                 values[k] *= p ** j
             i += c

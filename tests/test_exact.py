@@ -271,6 +271,13 @@ def test_valence_finish_answers_past_the_unit_pair():
     rest = valence_finish(m, block.copy())
     assert rest is not None and len(diag) + len(rest) == 20 - 4
     assert _chain(diag + rest) == _chain(_eliminate(block.tolist(), *block.shape))
+    # unimodular: f = (x^2 - 2**62 x - 1)(x - 1), valence 1, no prime to
+    # eliminate modulo
+    m = _with_unit_pair(_diag([1] * 18))
+    diag, block = _handoff(m)
+    assert valence_finish(m, block.copy()) == [1] * (20 - len(diag))
+    assert smith_normal_form(m).invariant_factors == (1,) * 20
+    assert is_unimodular(m)
 
 
 def test_valence_finish_matches_eliminate_on_scheme_elements():

@@ -197,6 +197,8 @@ class IntMatrix:
         if len(lines[0]) != 2:
             raise ExactError("first line must be 'rows cols'")
         rows, cols = lines[0]
+        if rows < 0 or cols < 0:
+            raise ExactError("'rows cols' must be nonnegative")
         data = []
         for line in lines[1:]:
             if not line and len(data) >= rows:
@@ -575,75 +577,59 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 # Unimodular completion
 
-_COMPLETION_PRIME = (1 << 31) - 1
-
-
-class _ModRankTracker:
-    """Incremental row rank over F_p; used to pre-screen completion rows.
-
-    The basis is kept fully reduced (each pivot row is zero at every other
-    pivot column), so reducing a candidate needs a single pass.
-    """
-
-    def __init__(self, p: int = _COMPLETION_PRIME):
-        self.p = p
-        self.pivots: dict[int, np.ndarray] = {}
-
-    def try_add(self, row) -> bool:
-        """Add an integer row if it is independent of those added so far."""
-        p = self.p
-        v = np.array([x % p for x in row], dtype=np.int64)
-        for col, prow in self.pivots.items():
-            if v[col]:
-                v = (v - v[col] * prow) % p
-        nz = np.nonzero(v)[0]
+def _last_nonzero_columns(m: IntMatrix) -> list[int] | None:
+    """The columns, ascending, that hold the last nonzero of some vector in
+    the row space of m modulo 2**31 - 1; None if the rows are dependent
+    there.  One elimination, scanning the columns from last to first."""
+    p = (1 << 31) - 1
+    a = np.array([[x % p for x in row] for row in m.data],
+                 dtype=np.int64).reshape(m.rows, m.cols)
+    found = []
+    for j in range(m.cols - 1, -1, -1):
+        nz = np.flatnonzero(a[:, j])
         if nz.size == 0:
-            return False
-        col = int(nz[0])
-        inv = pow(int(v[col]), -1, p)
-        prow = (v * inv) % p
-        for c2, row2 in self.pivots.items():
-            if row2[col]:
-                self.pivots[c2] = (row2 - row2[col] * prow) % p
-        self.pivots[col] = prow
-        return True
+            continue
+        # live rows are zero past column j, so only columns < j change
+        i, rest = nz[0], nz[1:]
+        pivot = a[i, :j] * pow(int(a[i, j]), -1, p) % p
+        a[rest, :j] = (a[rest, :j] - a[rest, j, None] * pivot) % p
+        a[[i, -1]] = a[[-1, i]]
+        a = a[:-1]
+        found.append(j)
+    return found[::-1] if len(found) == m.rows else None
 
 
 def unimodular_completion(m: IntMatrix) -> IntMatrix:
     """Extend a full-row-rank index-1 matrix to a square unimodular one.
 
-    First adjoins standard basis rows greedily (checking the final result
-    for unimodularity); if that candidate is not unimodular, falls back to
-    a completion read off the Smith transforms, which always succeeds for
-    index-1 full-rank input.
+    The rows of m come first, then the unit rows e_j, in column order, for
+    every column j outside K: the r columns that hold the last nonzero of
+    some row-space vector of m modulo 2**31 - 1 (the unit rows a greedy
+    pass finds independent of m).  Expanding along the unit rows, the
+    determinant is +-det(m[:, K]), so one r x r unimodularity check
+    certifies the result, and with it full row rank and index 1.  If that
+    check fails, the completion is read off the Smith transforms of m; it
+    exists exactly when m has full row rank and index 1, and ExactError is
+    raised otherwise.
     """
     r, c = m.rows, m.cols
     if r > c:
         raise ExactError("completion needs rows <= cols")
-    base = smith_normal_form(m)
-    if base.rank != r or any(d != 1 for d in base.invariant_factors):
-        raise ExactError("completion needs full row rank and index 1")
-    if r == c:
-        return m
-
-    tracker = _ModRankTracker()
-    if all(tracker.try_add(row) for row in m.data):
-        # unit rows span, so the greedy pass always reaches c rows
-        data = [list(row) for row in m.data]
-        for j in range(c):
-            if len(data) == c:
-                break
-            unit = [int(i == j) for i in range(c)]
-            if tracker.try_add(unit):
-                data.append(unit)
-        candidate = IntMatrix(data)
-        if is_unimodular(candidate):
-            return candidate
+    keep = _last_nonzero_columns(m)
+    if keep is not None and is_unimodular(m.submatrix(range(r), keep)):
+        if r == c:
+            return m
+        kept = set(keep)
+        return IntMatrix(m.data + [[0] * j + [1] + [0] * (c - j - 1)
+                                   for j in range(c) if j not in kept])
 
     # Smith-transform fallback: with L m R = [I | 0], m stacked over the
     # bottom rows of R^{-1} is blockdiag(L^{-1}, I) R^{-1}, a unimodular
     # product.
-    right_inv = unimodular_inverse(smith_normal_form(m, with_transforms=True).right)
+    snf = smith_normal_form(m, with_transforms=True)
+    if snf.rank != r or any(d != 1 for d in snf.invariant_factors):
+        raise ExactError("completion needs full row rank and index 1")
+    right_inv = unimodular_inverse(snf.right)
     candidate = IntMatrix(m.data + right_inv.data[r:])
     if not is_unimodular(candidate):
         raise ConstructionError("unimodular completion failed")

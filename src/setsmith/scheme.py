@@ -124,8 +124,8 @@ def w_matrix(n: int, i: int, j: int) -> IntMatrix:
 
     The identity for i == j, the zero matrix for i > j.
     """
-    if i < 0 or j < 0:
-        raise ParameterError("need i, j >= 0")
+    if n < 0 or i < 0 or j < 0:
+        raise ParameterError("need n, i, j >= 0")
     _refuse_oversized(f"W({n},{i},{j})", mu(n, i), mu(n, j))
     rows = enumerate_subsets(n, i, STANDARD)
     cols = enumerate_subsets(n, j, STANDARD)
@@ -262,8 +262,8 @@ def e_matrices(n: int, k_max: int, family: str = RECURSIVE) -> list[IntMatrix]:
     matrices instead and validates them (they are only conjecturally
     unimodular).  Results are cached per (n, family).
     """
-    if k_max < 0:
-        raise ParameterError("k_max must be nonnegative")
+    if n < 0 or k_max < 0:
+        raise ParameterError("n and k_max must be nonnegative")
     if 3 * k_max > n + 1:
         raise ParameterError(
             f"the E construction needs k_max <= (n+1)/3, got n={n}, k_max={k_max}")
@@ -341,13 +341,9 @@ def _check_coeffs(p: SchemeParams, coeffs, lam: int) -> tuple[int, ...]:
     if len(coeffs) != p.kr + 1:
         raise ParameterError(
             f"need kr+1 = {p.kr + 1} coefficients b_0..b_kr, got {len(coeffs)}")
-    if not p.square:
-        if lam != 0:
-            raise ParameterError(
-                "a diagonal shift is only defined for square parameters")
-        if sum(1 for b in coeffs if b) > 1:
-            raise ParameterError(
-                "multi-coefficient combinations need kr == kc")
+    if lam and not p.square:
+        raise ParameterError(
+            "a diagonal shift is only defined for square parameters")
     return coeffs
 
 

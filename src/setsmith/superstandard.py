@@ -22,8 +22,8 @@ from .subsets import (STANDARD, SUPER_STANDARD, enumerate_subsets,
 
 def w_tilde(n: int, i: int, j: int) -> IntMatrix:
     """Inclusion matrix of super-standard i-subsets into standard j-subsets."""
-    if i < 0 or j < 0:
-        raise ParameterError("need i, j >= 0")
+    if n < 0 or i < 0 or j < 0:
+        raise ParameterError("need n, i, j >= 0")
     rows = enumerate_subsets(n, i, SUPER_STANDARD)
     cols = enumerate_subsets(n, j, STANDARD)
     rmask = _masks(rows)

@@ -219,3 +219,13 @@ def test_precondition_violations_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "snf", "--in", str(bad))
     assert code == 1
     assert err.startswith("error:") and "non-integer" in err
+    negative = tmp_path / "negative.txt"
+    negative.write_text("0 -3\n")
+    code, _, err = run(capsys, "snf", "--in", str(negative))
+    assert code == 1
+    assert err.startswith("error:")
+    for flags in (["--which", "W", "--i", "0", "--j", "0"],
+                  ["--which", "E", "--s", "0"]):
+        code, _, err = run(capsys, "export-matrix", "--n", "-1", *flags)
+        assert code == 1
+        assert err.startswith("error:")

@@ -408,6 +408,7 @@ def test_completion_examples():
     assert abs(_bareiss_det(c.data)) == 1
     sq = IntMatrix([[1, 7], [0, 1]])
     assert unimodular_completion(sq) is sq
+    assert unimodular_completion(IntMatrix.zeros(0, 3)) == IntMatrix.identity(3)
 
 
 def test_completion_needs_smith_fallback():

@@ -1,9 +1,11 @@
+import hashlib
 import random
 import time
 from itertools import combinations
 from math import comb, gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setsmith.exact import IntMatrix, is_unimodular
 from setsmith.scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
@@ -14,6 +16,7 @@ from setsmith.scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
                              ms_matrices, ms_matrix, scheme_element_matrix,
                              smith_group, triangular_check, w_matrix)
 from setsmith.exact import _coprime_base, group_from_diagonal
+from setsmith.oracle import brute_force_group
 from setsmith.subsets import mu
 
 
@@ -216,6 +219,21 @@ def test_e_matrices_construction():
         e_matrices(8, 4)
 
 
+# sha256 of the concatenated to_text() of the recursive E_0..E_k
+E_FAMILY_SHA256 = {
+    (10, 3): "1876d18cfaac5de331f1c0be947fbfbd9b8c619b6381f243d08e01e9ca6b6de1",
+    (13, 4): "1d4751fa6e5cd306b1fc80fee5cf592308068e04a97a9bb638ed2fcf92920ff7",
+    (16, 3): "4423ad2ab62fdf995060f31ddad3309bf5bde8d739f588a8c29cb181ac4ee8b6",
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(E_FAMILY_SHA256))
+def test_recursive_e_family_is_pinned(n, k):
+    # the completion may change how it certifies, never what it returns
+    text = "".join(e.to_text() for e in e_matrices(n, k))
+    assert hashlib.sha256(text.encode()).hexdigest() == E_FAMILY_SHA256[n, k]
+
+
 def test_triangular_check():
     assert triangular_check(SchemeParams(7, 2, 3, 1))
     assert triangular_check(SchemeParams(6, 2, 2, 2))
@@ -361,15 +379,28 @@ def test_smith_group_rectangular_rules():
     with pytest.raises(ParameterError):
         smith_group(p, lam=1)
     with pytest.raises(ParameterError):
-        smith_group(p, coeffs=(1, 1, 0))
+        smith_group(p, coeffs=(1, 1, 0), lam=1)
+    assert smith_group(p, coeffs=(1, 1, 0)).coeffs == (1, 1, 0)
     with pytest.raises(ParameterError):
         smith_group(SchemeParams(9, 3, 3, 3), coeffs=(1, 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kc=st.sampled_from([2, 3]), data=st.data())
+def test_non_square_combinations_match_oracle(kc, data):
+    # the triangularization A P_kc = P_kr U is linear in the coefficients,
+    # so any combination of the A(n, kr, kc, l) reduces, not only one of them
+    n = data.draw(st.integers(3 * kc - 1, 11))
+    kr = data.draw(st.integers(1, kc - 1))
+    coeffs = tuple(data.draw(st.integers(-10 ** 6, 10 ** 6))
+                   for _ in range(kr + 1))
+    p = SchemeParams(n, kr, kc, kr)
+    assert smith_group(p, coeffs).group == brute_force_group(p, coeffs)
 
 
 def test_smith_group_matches_oracle_envelope():
     # feasible tuples across the supported sizes, both shapes, spot-checking
     # the larger-n end of the envelope
-    from setsmith.oracle import brute_force_group
     cases = []
     for n in range(2, 13):
         for kc in (1, 2, 3):

@@ -8,6 +8,11 @@ from setsmith.superstandard import (boundary_interior_split, check_conjecture,
                                     phi_boundary_column_match, w_tilde)
 
 
+def test_w_tilde_refuses_negative_n():
+    with pytest.raises(ParameterError):
+        w_tilde(-1, 0, 0)
+
+
 def test_w_tilde_empty_row_block_is_all_ones():
     for n, j in [(9, 2), (12, 3)]:
         w = w_tilde(n, 0, j)

@@ -1,18 +1,19 @@
 """Exact integer matrices, Smith normal form, and abelian group invariants.
 
-Everything here is exact.  The Smith reduction has two lanes, chosen by
-matrix size alone.  A matrix with fewer than _LIST_LANE_BELOW rows or
-columns (every M_s block) is reduced on lists of Python integers, which
-cannot overflow.  A larger one (the dense oracle's matrices) starts on a
-numpy int64 lane, which keeps every entry below 2**62: before each row
-update it checks, in Python integers, a tracked bound on the entries plus
-the update's largest product, and stops when that would reach 2**62, so
-entry growth can never silently corrupt a result.
-
-A trailing block the int64 lane stops on is finished in word-size
-arithmetic by the valence method (setsmith.valence), or, where that
-refuses, on the list lane.  Transforms are always computed on the list
-lane.  Matrix products take int64 only when no dot product can overflow.
+Everything here is exact.  The Smith reduction has three lanes.  A matrix
+with fewer than _LIST_LANE_BELOW rows or columns (every M_s block), or
+with an entry of 2**62 or more, is reduced on lists of Python integers,
+which cannot overflow.  A larger square one (the dense oracle's matrices)
+goes to the valence lane (setsmith.valence), which works modulo word-size
+moduli bounded by the valence and checks its minimal polynomial exactly.
+A non-square one, or one the valence lane refuses, starts on a numpy
+int64 lane, which keeps every entry below 2**62: before each row update
+it checks, in Python integers, a tracked bound on the entries plus the
+update's largest product, and stops when that would reach 2**62, so entry
+growth can never silently corrupt a result.  The trailing block it stops
+on is finished on the list lane.  Transforms are always computed on the
+list lane.  Matrix products take int64 only when no dot product can
+overflow.
 """
 
 from __future__ import annotations
@@ -109,13 +110,8 @@ class IntMatrix:
         return (self.rows, self.cols)
 
     def max_abs(self) -> int:
-        best = 0
-        for row in self.data:
-            for v in row:
-                a = -v if v < 0 else v
-                if a > best:
-                    best = a
-        return best
+        return max((max(max(row), -min(row)) for row in self.data if row),
+                   default=0)
 
     def transpose(self) -> "IntMatrix":
         if self.rows == 0 or self.cols == 0:
@@ -263,6 +259,8 @@ def _chain_fix(diag: list[int], mix=None) -> None:
     become their gcd and lcm, so a caller can apply the matching unimodular
     operations to a matrix.
     """
+    if all(dj % di == 0 for di, dj in zip(diag, diag[1:])):
+        return  # already a chain
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             di, dj = diag[i], diag[j]
@@ -454,25 +452,27 @@ def _diagonal_values(m: IntMatrix) -> list[int]:
 
     Matrices with fewer than _LIST_LANE_BELOW rows or columns, and those
     with an entry at or above _INT64_CEILING, go straight to the list lane.
-    The rest start on the int64 lane; if an update would reach the ceiling,
-    the partially reduced (still exact) trailing block is finished modulo
-    prime powers bounded by the valence (valence.valence_finish), or, where
-    that refuses, on the list lane.
+    A square one then goes to the valence lane (valence.valence_finish),
+    which reduces it modulo word-size moduli bounded by the valence.  A
+    non-square one, and one the valence lane refuses, start on the int64
+    lane; if an update would reach the ceiling, the partially reduced
+    (still exact) trailing block is finished on the list lane.
     """
     if (min(m.rows, m.cols) < _LIST_LANE_BELOW
             or m.max_abs() >= _INT64_CEILING):
         return _eliminate([list(row) for row in m.data], m.rows, m.cols)
     a = np.array(m.data, dtype=np.int64)
+    if m.rows == m.cols:
+        # imported on first use: a cold start compiles every module it
+        # imports, and only dense matrices get here
+        from .valence import valence_finish
+        diag = valence_finish(a)
+        if diag is not None:
+            return diag
     diag, finished = _diagonalize_fast(a)
     if not finished:
-        # imported on first use: a cold start compiles every module it
-        # imports, and most calls never hand off
-        from .valence import valence_finish
         t = len(diag)
-        rest = valence_finish(m, a[t:, t:])
-        if rest is None:
-            rest = _eliminate(a[t:, t:].tolist(), m.rows - t, m.cols - t)
-        diag += rest
+        diag += _eliminate(a[t:, t:].tolist(), m.rows - t, m.cols - t)
     return diag
 
 

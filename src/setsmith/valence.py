@@ -1,33 +1,39 @@
-"""The valence finish of a block the int64 Smith lane hands off.
+"""The valence lane of the dense Smith reduction of a square matrix.
 
 The method of Dumas, Saunders and Villard (J. Symbolic Comput. 32, 2001),
-in word-size integers: a candidate minimal polynomial x^s g(x) of the
-square matrix comes from a Krylov sequence modulo word primes, lifted by
-CRT, and is checked exactly.  With s <= 1, v = |g(0)| bounds every prime
-power of the Smith group, so eliminating the block modulo p**v_p(v) < 2**31
-for each prime p of v, and taking the rank modulo a prime not dividing v,
-gives every invariant factor.  The finish refuses a non-square matrix, a
-Krylov degree over 16, a failed check, x^2 | f, a valence with a cofactor
-of 2**32 or more after trial division below 2**16, and a prime power of
-2**31 or more; the caller then reduces the block on bigints.
+in word-size integers: a candidate minimal polynomial f = x^s g(x) of the
+matrix comes from a Krylov sequence modulo word primes, lifted by CRT, and
+f(A) = 0 is checked exactly by float64 matrix products, whose partial sums
+stay integers below 2**53 (as in FFLAS-FFPACK, Dumas, Giorgi and Pernet,
+ACM TOMS 2008).  With s <= 1, v = |g(0)| bounds every prime power of the
+Smith group.  v is split into pairwise coprime parts b**v_b(v) < 2**31,
+over the roots of f when they are all integers and by trial division
+otherwise; with x | f a rank prime that does not divide v joins them.  The
+parts are packed into moduli below 2**31, and one elimination over Z/M for
+each modulus M gives every gcd(d_i, M), so every invariant factor d_i.
+The lane refuses a non-square matrix, a Krylov degree over 16, a failed
+check, x^2 | f, a valence that neither splits over integer roots nor
+factors (a cofactor of 2**32 or more after trial division below 2**16),
+and a part of 2**31 or more; the caller then runs the int64 lane.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections import Counter
+from math import gcd, isqrt
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .exact import IntMatrix
+from .exact import _coprime_base, _xgcd, group_from_diagonal
 
 # The largest degree of a Krylov polynomial accepted (a scheme element's
 # minimal polynomial has degree at most k + 1), the bound on every modulus
-# of the elimination, and the width of the column blocks the exact check
-# multiplies.
+# of the elimination, the width of the column blocks the exact check
+# multiplies, and the bound below which float64 holds every integer.
 _MAX_DEGREE = 16
 _LOCAL_MODULUS = 1 << 31
 _CHECK_COLUMNS = 64
+_FLOAT_EXACT = 1 << 53
 
 
 def _trial_divisors():
@@ -85,12 +91,29 @@ def _factor(v: int) -> dict[int, int] | None:
     return out
 
 
-def _check_primes(n: int, above: int) -> list[int] | None:
-    """The largest primes q with n * q**2 < 2**63, so that an n-term dot
-    product of residues mod q is exact in int64, largest first: just enough
-    of them for their product to exceed above, or None past 64."""
+def _integer_roots(coeffs: list[int]) -> list[int] | None:
+    """The roots, with multiplicity, of the monic sum c_i x^i when they are
+    all integers, else None: np.roots, rounded, and checked by multiplying
+    the linear factors out in Python integers."""
+    try:
+        roots = [round(r.real) for r in np.roots([float(c) for c in coeffs[::-1]])]
+    except (OverflowError, ValueError, np.linalg.LinAlgError):
+        return None  # a coefficient or a root beyond float64
+    product = [1]
+    for r in roots:
+        product = [x - r * y for x, y in zip([0] + product, product + [0])]
+    return roots if product == coeffs else None
+
+
+def _primes(n: int, above: int) -> list[int] | None:
+    """The largest primes q with n * (q - 1)**2 + q < 2**53, so that an
+    n-term dot product of residues mod q, plus one more residue, is exact
+    in float64, largest first: just enough of them for their product to
+    exceed above, or None past 64."""
     out, product = [], 1
-    for q in filter(_is_prime, range((1 << (63 - n.bit_length()) // 2) - 1, 2, -2)):
+    for q in range(isqrt(_FLOAT_EXACT // n) | 1, 2, -2):
+        if n * (q - 1) ** 2 + q >= _FLOAT_EXACT or not _is_prime(q):
+            continue
         out.append(q)
         product *= q
         if product > above:
@@ -102,12 +125,12 @@ def _check_primes(n: int, above: int) -> list[int] | None:
 
 def _krylov_polynomial(aq: np.ndarray, q: int) -> list[int] | None:
     """c_0..c_d (c_d = 1) with sum c_i aq^i x = 0 mod q, of least degree,
-    for a fixed start vector x; None past _MAX_DEGREE.  aq holds
-    residues mod q, with n * q**2 < 2**63."""
+    for a fixed start vector x; None past _MAX_DEGREE.  aq is float64 and
+    holds residues mod q, with q from _primes."""
     # Fibonacci hashing of the index: fixed entries in 1..2**16, well spread
     index = np.arange(1, aq.shape[0] + 1, dtype=np.uint64)
     start = (index * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(48)
-    power = (start + np.uint64(1)).astype(np.int64) % q
+    power = ((start + np.uint64(1)) % np.uint64(q)).astype(np.float64)
     basis = []   # (pivot index, vector scaled to 1 there, its combination)
     for d in range(_MAX_DEGREE + 1):
         # reduce aq^d x against the earlier powers
@@ -132,28 +155,29 @@ def _annihilates(a: np.ndarray, coeffs: list[int], bound: int) -> bool:
     """Whether sum_i coeffs[i] a^i is exactly zero, for an int64 square a
     whose rows have absolute sums at most bound.
 
-    Horner's rule runs in int64 on blocks of identity columns.  No entry of
-    a^i exceeds bound**i, so no partial sum exceeds h = sum |c_i| bound**i.
-    If h < 2**63 nothing can overflow; if not, the check runs modulo primes
-    q with n * q**2 < 2**63 whose product exceeds 2h, which no nonzero
-    entry can be a multiple of.
+    Horner's rule runs in float64 on blocks of identity columns.  No entry
+    of a^i exceeds bound**i, so no partial sum exceeds h = sum |c_i|
+    bound**i, and every one is an integer.  If h < 2**53 each is exact; if
+    not, the check runs modulo primes q from _primes whose product exceeds
+    2h, which no nonzero entry can be a multiple of.
     """
     n = a.shape[0]
     h = 1
     for c in coeffs[-2::-1]:
         h = bound * h + abs(c)
-    if h < 1 << 63:
-        checks = [(None, a, coeffs)]
+    if h < _FLOAT_EXACT:
+        checks = [(None, a.astype(np.float64), coeffs)]
     else:
-        primes = _check_primes(n, 2 * h)
+        primes = _primes(n, 2 * h)
         if primes is None:
             return False
-        checks = ((q, a % q, [c % q for c in coeffs]) for q in primes)
+        checks = ((q, (a % q).astype(np.float64), [c % q for c in coeffs])
+                  for q in primes)
     for q, aq, cs in checks:
         for j0 in range(0, n, _CHECK_COLUMNS):
             width = min(_CHECK_COLUMNS, n - j0)
             diag = (np.arange(j0, j0 + width), np.arange(width))
-            y = np.zeros((n, width), dtype=np.int64)
+            y = np.zeros((n, width))
             y[diag] = 1
             for c in cs[-2::-1]:
                 y = aq @ y
@@ -165,98 +189,125 @@ def _annihilates(a: np.ndarray, coeffs: list[int], bound: int) -> bool:
     return True
 
 
-def _unit_pivots(w: np.ndarray, mod: int, p: int) -> int:
-    """Eliminate w, entries in [0, mod), modulo the power mod of the prime
-    p in place, with pivots prime to p; return the pivot count r.
-    w[r:, r:] is then the Schur complement, reduced into [0, mod), with
-    every entry a multiple of p.
+def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
+    """gcd(x, mod) for the diagonal entries x of a diagonal form of the
+    int64 matrix a over Z/mod, 0 < mod < 2**31, one per row or column,
+    whichever are fewer; a zero entry gives mod.
 
-    A column with no unit moves to the back; it never gains one, since the
-    pivot row's entry in it is a multiple of p too.  The trailing block is
-    reduced only when int64 runs out of headroom: the pivot column and row
-    are reduced, so each update subtracts less than mod**2 <= 2**62 from an
-    entry.
+    The pivot is an entry of least gcd with mod in the pivot column, or in
+    the pivot row if that holds a smaller one.  Where it does not divide an
+    entry of either (mod has two or more prime factors), one 2x2 Bezout
+    step of rows or columns replaces it by their gcd, whose gcd with mod is
+    a proper divisor of the pivot's.  Once it divides them all,
+    one update of the trailing block clears its column, and column
+    operations its row, which touch nothing else.  The trailing block is
+    reduced into [0, mod) only when int64 runs out of headroom: the pivot
+    row and column are reduced, so each update subtracts less than
+    mod**2 <= 2**62 from an entry.
     """
-    rows, live = w.shape
-    r = 0
-    headroom = ((1 << 63) - mod) // (mod - 1) ** 2
+    w = a % mod
+    headroom = ((1 << 63) - mod) // max(mod - 1, 1) ** 2
     spent = 0
-    while r < min(rows, live):
-        hits = np.flatnonzero(w[r:, r] % p)
-        if not hits.size:
-            live -= 1
-            w[r:, [r, live]] = w[r:, [live, r]]
-            continue
-        i = r + int(hits[0])
-        if i != r:
-            row = w[r].copy()
-            w[r] = w[i]
-            w[i] = row
+    out = []
+    for t in range(min(w.shape)):
         if spent == headroom:
-            w[r:, r:] %= mod
+            w[t:, t:] %= mod
             spent = 0
-        pivot_row = w[r, r + 1:] % mod
-        f = w[r + 1:, r] % mod * pow(int(w[r, r]) % mod, -1, mod) % mod
-        w[r + 1:, r + 1:] -= f[:, None] * pivot_row
-        spent += 1
-        r += 1
-    w[r:, r:] %= mod
-    return r
+        w[t:, t] %= mod
+        in_col = np.gcd(w[t:, t], mod)
+        i = int(in_col.argmin())
+        if in_col[i] > 1:
+            in_row = np.gcd(w[t, t:] % mod, mod)
+            j = int(in_row.argmin())
+            if in_row[j] < in_col[i]:
+                w[t:, [t, t + j]] = w[t:, [t + j, t]]
+                w[t:, t] %= mod
+                i = 0
+        if i:
+            w[[t, t + i], t:] = w[[t + i, t], t:]
+        w[t, t:] %= mod
+        while True:
+            p = int(w[t, t])
+            g = gcd(p, mod)
+            # rows of w, then rows of w.T (columns of w): p % g == 0, so a
+            # nonzero remainder is not the pivot's
+            for v in (w, w.T) if g > 1 else ():
+                bad = v[t:, t] % g
+                i = t + int(bad.argmax())
+                if bad[i - t]:
+                    # rows t and i of v become (h, ...) and (0, ...)
+                    x = int(v[i, t])
+                    h, s, r = _xgcd(p, x)
+                    top, low = v[t, t:].copy(), v[i, t:] % mod
+                    v[t, t:] = (s * top + r * low) % mod
+                    v[i, t:] = (p // h * low - x // h * top) % mod
+                    break
+            else:
+                break
+        if g < mod:
+            rest = mod // g
+            f = w[t + 1:, t] // g * pow(p // g, -1, rest) % rest
+            w[t + 1:, t + 1:] -= f[:, None] * w[t, t + 1:]
+            spent += 1
+        out.append(g)
+    return out
 
 
-def _local_counts(block: np.ndarray, p: int, e: int) -> list[int]:
-    """How many local invariant factors of block at p have valuation 0, 1,
-    ..., e - 1: eliminate modulo p**e with unit pivots, and divide what is
-    left by p whenever no unit is left."""
-    mod = p ** e
-    w = block % mod
-    counts = []
-    while True:
-        r = _unit_pivots(w, mod, p)
-        counts.append(r)
-        w = w[r:, r:]
-        if len(counts) == e or not w.any():
-            return counts + [0] * (e - len(counts))
-        w = w // p
-        mod //= p
+def _valence_parts(coeffs: list[int], v: int) -> list[int] | None:
+    """Pairwise coprime b**v_b(v) whose product is v: b over the coprime
+    base of the roots of f when they are all integers, else the primes of
+    v; None if v does not factor."""
+    roots = _integer_roots(coeffs)
+    if roots is None:
+        factors = _factor(v)
+        return None if factors is None else [p ** e for p, e in factors.items()]
+    parts = []
+    for b in _coprime_base(abs(r) for r in roots if r):
+        part = 1
+        while v % b == 0:
+            v //= b
+            part *= b
+        parts.append(part)
+    return parts
 
 
-def valence_finish(m: IntMatrix, block: np.ndarray) -> list[int] | None:
-    """Positive diagonal values of some diagonal form of block, the
-    trailing block the int64 lane left of the square matrix m, computed in
-    word-size arithmetic; None when this finish does not apply.
+def valence_finish(a: np.ndarray) -> list[int] | None:
+    """Every invariant factor of the square int64 matrix a, entries below
+    2**62, computed in word-size arithmetic; None when the valence lane
+    does not apply.
 
-    A candidate minimal polynomial f of m comes from a Krylov sequence
-    modulo word primes, lifted by CRT, and is checked exactly: f(m) = 0.
+    A candidate minimal polynomial f of a comes from a Krylov sequence
+    modulo word primes, lifted by CRT, and is checked exactly: f(a) = 0.
     With f = x^s g, s <= 1 and v = |g(0)| > 0, v annihilates the torsion
-    of coker m (and so of coker block, a direct summand): for s = 0,
-    v I = +-m h(m); for s = 1, g(m) kills the column space of m.  So
-    every prime of an invariant factor divides v, at most v_p(v) times,
-    and the rank is the rank modulo a prime not dividing v.  Eliminating
-    modulo p**v_p(v) with unit pivots then gives every valuation.
-    Refused: non-square m, a Krylov degree over _MAX_DEGREE, a
-    failed check, x^2 | f, a cofactor of v of 2**32 or more left by trial
-    division, and a prime power p**v_p(v) of 2**31 or more.
+    of coker a: for s = 0, v I = +-a h(a); for s = 1, g(a) kills the
+    column space of a.  So every invariant factor d_i but zero divides v,
+    and gcd(d_i, M) for M = v gives it.  With s = 1, M also takes a prime
+    q that does not divide v: gcd(d_i, q) is q exactly when d_i = 0.  M
+    is split into coprime moduli below 2**31, packed largest first; the
+    diagonal modulo each, put in chain order by group_from_diagonal, gives
+    gcd(d_i, M) entrywise.
+    Refused: non-square a, a Krylov degree over _MAX_DEGREE, a failed
+    check, x^2 | f, a valence that does not factor, and a part b**v_b(v)
+    of 2**31 or more.
     """
-    n = m.rows
-    if n != m.cols:
+    n = a.shape[0]
+    if n != a.shape[1]:
         return None
-    a = np.array(m.data, dtype=np.int64)
     top = int(np.abs(a).max())
     bound = (int(np.abs(a).sum(axis=1).max()) if top * n < 1 << 63
              else top * n)
     # every root of f is an eigenvalue, at most bound in absolute value,
     # so |coefficient| <= (1 + bound)**degree
-    first = _check_primes(n, 1)[0]
-    coeffs = _krylov_polynomial(a % first, first)
+    first = _primes(n, 1)[0]
+    coeffs = _krylov_polynomial((a % first).astype(np.float64), first)
     if coeffs is None:
         return None
-    primes = _check_primes(n, 2 * (1 + bound) ** (len(coeffs) - 1))
+    primes = _primes(n, 2 * (1 + bound) ** (len(coeffs) - 1))
     if primes is None:
         return None
     modulus = first
     for q in primes[1:]:
-        more = _krylov_polynomial(a % q, q)
+        more = _krylov_polynomial((a % q).astype(np.float64), q)
         if more is None or len(more) != len(coeffs):
             return None
         inv = pow(modulus, -1, q)
@@ -265,24 +316,31 @@ def valence_finish(m: IntMatrix, block: np.ndarray) -> list[int] | None:
     coeffs = [c - modulus if 2 * c > modulus else c for c in coeffs]
     s = 0 if coeffs[0] else 1
     v = abs(coeffs[s])
-    factors = _factor(v) if v else None
-    if (factors is None
-            or any(p ** e >= _LOCAL_MODULUS for p, e in factors.items())
+    parts = _valence_parts(coeffs, v) if v else None
+    if (parts is None or any(part >= _LOCAL_MODULUS for part in parts)
             or not _annihilates(a, coeffs, bound)):
         return None
-    rank = block.shape[0]
+    rank_prime = 0
     if s:
         # v is below the CRT modulus, a product of at most 64 primes below
-        # 2**31, and the primes below 2**16 multiply to far more than that,
+        # 2**27, and the primes below 2**16 multiply to far more than that,
         # so one of them does not divide v
         rank_prime = next(p for p in _trial_divisors() if v % p and _is_prime(p))
-        rank = _local_counts(block, rank_prime, 1)[0]
-    values = [1] * rank
-    for p, e in factors.items():
-        i = 0
-        counts = _local_counts(block, p, e)
-        for j, c in enumerate(counts + [rank - sum(counts)]):
-            for k in range(i, i + c):
-                values[k] *= p ** j
-            i += c
-    return values
+        parts.append(rank_prime)
+    moduli: list[int] = []
+    for part in sorted(parts, reverse=True):
+        for i, mod in enumerate(moduli):
+            if mod * part < _LOCAL_MODULUS:
+                moduli[i] *= part
+                break
+        else:
+            moduli.append(part)
+    values, zeros = [1] * n, 0
+    for mod in moduli:
+        runs = group_from_diagonal(Counter(_diagonal_mod(a, mod)).items()).runs
+        diag = [1] * (n - sum(m for _, m in runs)) + [d for d, m in runs
+                                                      for _ in range(m)]
+        if rank_prime and mod % rank_prime == 0:
+            zeros = diag.count(mod)
+        values = [x * y for x, y in zip(values, diag)]
+    return values[:n - zeros]

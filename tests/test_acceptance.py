@@ -60,27 +60,27 @@ def test_criterion_2_oracle_sweep(capsys):
     t0 = time.perf_counter()
     checked = 0
     mismatches = []
-    for n in range(2, 12):
-        for kc in (1, 2, 3):
-            if n < 3 * kc - 1:
-                continue
-            for kr in range(1, kc + 1):
-                for ell in range(kr + 1):
-                    p = SchemeParams(n, kr, kc, ell)
-                    lams = [0]
-                    if kr == kc:
-                        lams += [degree(n, kr, ell), 1, -1]
-                    for lam in lams:
-                        structured = smith_group(p, lam=lam).group
-                        oracle = brute_force_group(p, lam=lam)
-                        checked += 1
-                        if structured != oracle:
-                            mismatches.append((n, kr, kc, ell, lam))
+    # every kc <= 4 with 3*kc - 1 <= n <= 11 (kc = 4 only at n = 11, 330
+    # columns), and kr = kc = 4 at n = 12 (495 columns)
+    shapes = [(n, kr, kc) for n in range(2, 12) for kc in (1, 2, 3, 4)
+              if n >= 3 * kc - 1 for kr in range(1, kc + 1)] + [(12, 4, 4)]
+    for n, kr, kc in shapes:
+        for ell in range(kr + 1):
+            p = SchemeParams(n, kr, kc, ell)
+            lams = [0]
+            if kr == kc:
+                lams += [degree(n, kr, ell), 1, -1]
+            for lam in lams:
+                structured = smith_group(p, lam=lam).group
+                oracle = brute_force_group(p, lam=lam)
+                checked += 1
+                if structured != oracle:
+                    mismatches.append((n, kr, kc, ell, lam))
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 600
     with capsys.disabled():
         _report(2, ok, f"structured == brute force on {checked} parameter "
-                       f"tuples, n <= 11 ({elapsed:.1f}s)")
+                       f"tuples, n <= 12 ({elapsed:.1f}s)")
 
 
 CLOSED_FORM_SWEEP = [

@@ -1,5 +1,5 @@
 import random
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -13,7 +13,8 @@ from setsmith.exact import (_INT64_CEILING, _LIST_LANE_BELOW, AbelianGroup,
                             unimodular_completion, unimodular_inverse)
 from setsmith.scheme import (SchemeParams, eigenvalues, scheme_element_matrix,
                              smith_group)
-from setsmith.valence import valence_finish
+from setsmith.valence import (_diagonal_mod, _factor, _integer_roots,
+                              _valence_parts, valence_finish)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -230,8 +231,12 @@ def _nilpotent_corner(size):
     return data
 
 
-# each fallback: a matrix the int64 lane hands off and the valence finish
-# refuses, so the list lane reduces the block
+def _array(m):
+    return np.array(m.data, dtype=np.int64)
+
+
+# each fallback: a matrix the valence lane refuses, and that the int64 lane
+# hands off before any pivot, so the list lane reduces all of it
 _REFUSED = {
     "non-square": _with_unit_pair([row + [5] for row in _diag([2, 3] * 9)],
                                   width=19),
@@ -246,36 +251,35 @@ _REFUSED = {
 def test_valence_finish_refusals_fall_back_to_the_list_lane(case):
     m = _REFUSED[case]
     assert min(m.rows, m.cols) >= _LIST_LANE_BELOW
+    assert valence_finish(_array(m)) is None
     diag, block = _handoff(m)
-    assert valence_finish(m, block.copy()) is None
-    listed = _eliminate(block.tolist(), *block.shape)
+    assert diag == []
     f = smith_normal_form(m).invariant_factors
-    assert f == _chain(diag + listed)
+    assert f == _chain(_eliminate(block.tolist(), *block.shape))
     full = _eliminate([list(row) for row in m.data], m.rows, m.cols)
     assert f == _chain(full)
 
 
 def test_valence_finish_answers_past_the_unit_pair():
-    # the same hand-off with a block the finish accepts: f = (x^2 - 2**62 x
-    # - 1)(x - 2)(x - 3)(x - 6), valence 36
+    # a matrix the int64 lane would hand off at once, which the valence
+    # lane accepts: f = (x^2 - 2**62 x - 1)(x - 2)(x - 3)(x - 6), valence 36
     m = _with_unit_pair(_diag([2, 3, 6] * 6))
-    diag, block = _handoff(m)
-    rest = valence_finish(m, block.copy())
+    rest = valence_finish(_array(m))
     assert rest is not None
-    assert _chain(diag + rest) == _chain(_eliminate(block.tolist(), *block.shape))
+    full = _eliminate([list(row) for row in m.data], m.rows, m.cols)
+    assert _chain(rest) == _chain(full)
     assert smith_normal_form(m).invariant_factors == (1,) * 8 + (6,) * 12
     # singular: a zero row and column, so the rank comes from a prime
     # that does not divide the valence
     m = _with_unit_pair(_diag([0, 2, 3, 6] * 4 + [4, 9]))
-    diag, block = _handoff(m)
-    rest = valence_finish(m, block.copy())
-    assert rest is not None and len(diag) + len(rest) == 20 - 4
-    assert _chain(diag + rest) == _chain(_eliminate(block.tolist(), *block.shape))
-    # unimodular: f = (x^2 - 2**62 x - 1)(x - 1), valence 1, no prime to
-    # eliminate modulo
+    rest = valence_finish(_array(m))
+    assert rest is not None and len(rest) == 20 - 4
+    full = _eliminate([list(row) for row in m.data], m.rows, m.cols)
+    assert _chain(rest) == _chain(full)
+    # unimodular: f = (x^2 - 2**62 x - 1)(x - 1), valence 1, no modulus
+    # to eliminate modulo
     m = _with_unit_pair(_diag([1] * 18))
-    diag, block = _handoff(m)
-    assert valence_finish(m, block.copy()) == [1] * (20 - len(diag))
+    assert valence_finish(_array(m)) == [1] * 20
     assert smith_normal_form(m).invariant_factors == (1,) * 20
     assert is_unimodular(m)
 
@@ -283,13 +287,14 @@ def test_valence_finish_answers_past_the_unit_pair():
 def test_valence_finish_matches_eliminate_on_scheme_elements():
     # scheme elements the int64 lane hands off: coefficients of 2 to 4
     # digits, n <= 12, k <= 3, shifts of 0, at an eigenvalue (singular),
-    # and at an eigenvalue minus a product of many small primes.  Where the
-    # finish answers it must agree with the block reduction, and, where the
-    # handed-off block is small enough for the list lane to be quick, with
-    # _eliminate on that block too.  It may refuse (a prime-rich shift
-    # moves the other eigenvalues near 5e5, and two prime factors above
-    # 2**16 leave a cofactor it cannot factor), but not often.
-    answered = []
+    # and at an eigenvalue minus a product of many small primes.  The
+    # valence lane must answer each, and agree with the block reduction
+    # and, where the handed-off block is small enough for the list lane to
+    # be quick, with the int64 lane finished on the list lane.  A
+    # prime-rich shift moves the other eigenvalues near 5e5, where trial
+    # division may leave a cofactor it cannot factor; the eigenvalues are
+    # integers, so the valence splits over them instead.
+    checked = []
 
     @settings(max_examples=24, deadline=None, derandomize=True, database=None)
     @given(k=st.sampled_from([2, 3]), n=st.integers(7, 12),
@@ -309,22 +314,83 @@ def test_valence_finish_matches_eliminate_on_scheme_elements():
                                               2 * 3 * 5 * 7 * 11 * 13 * 17,
                                               -(2 ** 4 * 3 ** 3 * 5 ** 2 * 19)]))
         m = scheme_element_matrix(p, coeffs, lam)
-        a = np.array(m.data, dtype=np.int64)
-        diag, finished = _diagonalize_fast(a)
+        a = _array(m)
+        lane = a.copy()
+        diag, finished = _diagonalize_fast(lane)
         assume(not finished)
-        block = a[len(diag):, len(diag):]
-        rest = valence_finish(m, block.copy())
-        answered.append(rest is not None)
-        if rest is None:
-            return
-        f = _chain(diag + rest)
+        rest = valence_finish(a)
+        checked.append(m.cols)
+        assert rest is not None
+        f = _chain(rest)
         assert group_from_smith(SmithForm(f, len(f)), m.cols) \
             == smith_group(p, coeffs, lam).group
+        block = lane[len(diag):, len(diag):]
         if block.shape[0] <= 64:
             assert f == _chain(diag + _eliminate(block.tolist(), *block.shape))
 
     check()
-    assert len(answered) >= 12 and 4 * sum(answered) >= 3 * len(answered)
+    assert len(checked) >= 12
+
+
+def test_valence_finish_splits_an_unfactored_valence_over_integer_roots():
+    # the eigenvalue -124 of 91 A_0 + 11 A_2 (n = 11, k = 3) shifted by
+    # 2*3*5*7*11*13*17: the valence keeps a cofactor 84811 * 85999 above
+    # 2**32 after trial division below 2**16, but every root of the
+    # minimal polynomial is an integer, and their coprime base splits it
+    p = SchemeParams(11, 3, 3, 3)
+    coeffs, lam = (91, 0, 11, 0), -124 - 510510
+    m = scheme_element_matrix(p, coeffs, lam)
+    a = _array(m)
+    # the minimal polynomial, from the distinct eigenvalues
+    mu = [1]
+    for e in {e.eigenvalue - lam for e in eigenvalues(p, coeffs)}:
+        mu = [x - e * y for x, y in zip([0] + mu, mu + [0])]
+    roots = _integer_roots(mu)
+    assert roots is not None and 0 not in roots
+    v = abs(prod(roots))
+    assert _factor(v) is None
+    assert sorted(_valence_parts(mu, v)) == sorted(
+        [2 ** 6, 3 ** 4, 119 ** 2, 179, 715, 84811, 85999])
+    f = _chain(valence_finish(a))
+    assert group_from_smith(SmithForm(f, len(f)), m.cols) \
+        == smith_group(p, coeffs, lam).group
+
+
+def _moduli():
+    """1, a prime power, or a product of prime powers, each below 2**31."""
+    primes = st.sampled_from([2, 3, 5, 7, 11, 13, 65521, 2 ** 31 - 1])
+    powers = st.tuples(primes, st.integers(1, 31)).map(
+        lambda pe: pe[0] ** max(e for e in range(1, pe[1] + 1)
+                                if pe[0] ** e < 2 ** 31))
+    return st.one_of(st.just(1), powers,
+                     st.lists(powers, min_size=2, max_size=4).map(_pack))
+
+
+def _pack(parts):
+    """The product of the coprime parts below 2**31, taken in order."""
+    out = 1
+    for part in parts:
+        if gcd(out, part) == 1 and out * part < 2 ** 31:
+            out *= part
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12), mod=_moduli(),
+       big=st.booleans(), seed=st.integers(0, 2 ** 32))
+def test_diagonal_mod_gives_the_gcds_of_the_invariant_factors(rows, cols, mod,
+                                                             big, seed):
+    # entries rich in the small primes, so that pivots with incomparable
+    # gcds meet under a composite modulus, and with big, some up to 2**62
+    rng = random.Random(seed)
+    factors = [0, 1, 2, 3, 4, 6, 8, 9, 12, 27, 35, 65521]
+    data = [[rng.randint(-2 ** 62, 2 ** 62) if big and rng.random() < 0.2
+             else rng.randint(-9, 9) * rng.choice(factors)
+             for _ in range(cols)] for _ in range(rows)]
+    diag = _chain(_eliminate([row[:] for row in data], rows, cols))
+    want = [gcd(d, mod) for d in diag] + [mod] * (min(rows, cols) - len(diag))
+    got = _chain(_diagonal_mod(np.array(data, dtype=np.int64), mod))
+    assert got == tuple(want)
 
 
 def test_snf_big_entries_exact_lane():

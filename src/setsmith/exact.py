@@ -1,19 +1,15 @@
 """Exact integer matrices, Smith normal form, and abelian group invariants.
 
-Everything here is exact.  The Smith reduction has three lanes.  A matrix
+Everything here is exact.  The Smith reduction has two lanes.  A matrix
 with fewer than _LIST_LANE_BELOW rows or columns (every M_s block), or
 with an entry of 2**62 or more, is reduced on lists of Python integers,
-which cannot overflow.  A larger square one (the dense oracle's matrices)
-goes to the valence lane (setsmith.valence), which works modulo word-size
-moduli bounded by the valence and checks its minimal polynomial exactly.
-A non-square one, or one the valence lane refuses, starts on a numpy
-int64 lane, which keeps every entry below 2**62: before each row update
-it checks, in Python integers, a tracked bound on the entries plus the
-update's largest product, and stops when that would reach 2**62, so entry
-growth can never silently corrupt a result.  The trailing block it stops
-on is finished on the list lane.  Transforms are always computed on the
-list lane.  Matrix products take int64 only when no dot product can
-overflow.
+which cannot overflow.  Any other one (the dense oracle's matrices) goes
+to the valence lane (setsmith.valence), which works modulo word-size
+moduli bounded by the valence of the matrix, or of its Gram matrix when
+it is not square, and checks its minimal polynomial exactly.  A matrix
+the valence lane refuses is reduced on the list lane.  Transforms are
+always computed on the list lane.  Matrix products take int64 only when
+no dot product can overflow.
 """
 
 from __future__ import annotations
@@ -24,19 +20,22 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-# Every entry on the int64 lane stays below this.  Then negation, x + half
-# (half < 2**61), and q * p (within half a pivot of x) all fit in int64, and
-# each row update is checked in Python integers before it runs.
+# The valence lane takes int64 input with every entry below this, so that
+# every entry and its absolute value fit, and refuses a non-square r x c
+# matrix (r <= c) unless c * max|entry|**2, a bound on every entry of its
+# Gram matrix, is below it too.
 _INT64_CEILING = 1 << 62
-# Score of an entry that is not a pivot candidate: above every Markowitz count.
-_NOT_A_PIVOT = np.iinfo(np.int64).max
 
-# Matrices with fewer rows or columns than this skip the int64 lane: below
-# it, numpy's per-step overhead costs more than the list lane's Python
-# loops.  On random square matrices with entries in -9..9 the list lane was
-# 10x faster at 4, 1.2x at 20, and even at 24.  So the M_s blocks (at most
-# (k+1)x(k+1)) take the list lane, and dense matrices of 20 or more
-# columns and rows the int64 lane.
+# Matrices with fewer rows or columns than this skip the valence lane.
+# Median times per square matrix, list lane against valence lane (2-vCPU
+# VM, Python 3.11, numpy on one thread): on scheme elements with
+# two-digit coefficients, 0.13 against 0.41 ms at 12 columns, 0.42
+# against 0.56 ms at 20, about even at 21 to 24, and 1.43 against 0.80 ms
+# at 32; on random matrices with entries in -9..9, 0.25 against 3.8 ms at
+# 12, and from 20 columns on, where every one is refused at the Krylov
+# degree cap, the list lane's time plus 0.6-0.7 ms.  So the M_s blocks
+# (at most (k+1)x(k+1)) take the list lane, and dense matrices of 20 or
+# more columns and rows the valence lane.
 _LIST_LANE_BELOW = 20
 
 
@@ -271,84 +270,6 @@ def _chain_fix(diag: list[int], mix=None) -> None:
                 diag[i], diag[j] = g, di // g * dj
 
 
-def _diagonalize_fast(a: np.ndarray) -> tuple[list[int], bool]:
-    """Reduce an int64 matrix with every entry below _INT64_CEILING to
-    diagonal values.
-
-    Returns (pivots found so far, finished).  A pivot is an entry of least
-    absolute value; among those, the one whose row and column hold the
-    fewest other nonzeros (Markowitz), which keeps fill-in and entry growth
-    down.  Quotients are rounded to nearest so remainders stay within half
-    a pivot.
-
-    bound is at least every |entry| of the trailing block: the pivot scan
-    reads it and each row update raises it by max|q| * max|pivot row|.  An
-    update runs only if the raised bound stays below _INT64_CEILING, checked
-    in Python integers; if it would not, bound is rescanned, and if it still
-    would not, the reduction stops.  The array is mutated in place; when
-    finished is False it holds an exact intermediate state with the first
-    len(pivots) rows and columns fully cleared, ready to be finished.
-    """
-    m, n = a.shape
-    t = 0
-    diag: list[int] = []
-    while t < min(m, n):
-        sub = np.abs(a[t:, t:])
-        mask = sub != 0
-        rowcnt = np.count_nonzero(mask, axis=1)
-        if not rowcnt.any():
-            break
-        colcnt = np.count_nonzero(mask, axis=0)
-        bound = int(sub.max())
-        # zeros wrap to the top of uint64, so this is the least nonzero |entry|
-        target = int((sub - 1).view(np.uint64).min()) + 1
-        # argmin breaks the remaining ties by the first entry in row-major order
-        score = np.where(sub == target, np.outer(rowcnt - 1, colcnt - 1),
-                         _NOT_A_PIVOT)
-        bi, bj = divmod(int(score.argmin()), n - t)
-        bi, bj = bi + t, bj + t
-        if bi != t:
-            a[[t, bi], t:] = a[[bi, t], t:]
-        if bj != t:
-            a[t:, [t, bj]] = a[t:, [bj, t]]
-        while True:
-            if a[t, t] < 0:
-                a[t, t:] = -a[t, t:]
-            p = int(a[t, t])
-            half = p >> 1
-            col = a[t + 1:, t]
-            nzr = np.flatnonzero(col)
-            if nzr.size:
-                q = (col[nzr] + half) // p
-                step = int(np.abs(q).max()) * int(np.abs(a[t, t:]).max())
-                if bound + step >= _INT64_CEILING:
-                    bound = int(np.abs(a[t:, t:]).max())
-                    if bound + step >= _INT64_CEILING:
-                        return diag, False
-                bound += step
-                idx = nzr + t + 1
-                a[idx, t:] -= q[:, None] * a[t, t:]
-                rem = a[idx, t]
-                nzr = np.flatnonzero(rem)
-                if nzr.size:
-                    # a remainder smaller than the pivot exists; promote it
-                    r = int(idx[nzr[np.argmin(np.abs(rem[nzr]))]])
-                    a[[t, r], t:] = a[[r, t], t:]
-                    continue
-            # column is clear; with column t zero elsewhere, reducing the
-            # pivot row by column operations only touches row t
-            rowr = a[t, t + 1:]
-            nzc = np.flatnonzero(rowr)
-            if nzc.size:
-                rowr[nzc] -= (rowr[nzc] + half) // p * p
-                if rowr.any():
-                    break  # smaller entries appeared; re-pick the pivot
-            diag.append(p)
-            t += 1
-            break
-    return diag, True
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """g, x, y with x*a + y*b == g == gcd(a, b), g >= 0."""
     old_r, r = a, b
@@ -451,29 +372,20 @@ def _diagonal_values(m: IntMatrix) -> list[int]:
     """Positive diagonal values of some diagonal form of m (no chain yet).
 
     Matrices with fewer than _LIST_LANE_BELOW rows or columns, and those
-    with an entry at or above _INT64_CEILING, go straight to the list lane.
-    A square one then goes to the valence lane (valence.valence_finish),
-    which reduces it modulo word-size moduli bounded by the valence.  A
-    non-square one, and one the valence lane refuses, start on the int64
-    lane; if an update would reach the ceiling, the partially reduced
-    (still exact) trailing block is finished on the list lane.
+    with an entry at or above _INT64_CEILING, go to the list lane.  Any
+    other one goes to the valence lane (valence.valence_finish), which
+    reduces it modulo word-size moduli bounded by the valence, and one it
+    refuses goes to the list lane too.
     """
-    if (min(m.rows, m.cols) < _LIST_LANE_BELOW
-            or m.max_abs() >= _INT64_CEILING):
-        return _eliminate([list(row) for row in m.data], m.rows, m.cols)
-    a = np.array(m.data, dtype=np.int64)
-    if m.rows == m.cols:
+    if (min(m.rows, m.cols) >= _LIST_LANE_BELOW
+            and m.max_abs() < _INT64_CEILING):
         # imported on first use: a cold start compiles every module it
         # imports, and only dense matrices get here
         from .valence import valence_finish
-        diag = valence_finish(a)
+        diag = valence_finish(np.array(m.data, dtype=np.int64))
         if diag is not None:
             return diag
-    diag, finished = _diagonalize_fast(a)
-    if not finished:
-        t = len(diag)
-        diag += _eliminate(a[t:, t:].tolist(), m.rows - t, m.cols - t)
-    return diag
+    return _eliminate([list(row) for row in m.data], m.rows, m.cols)
 
 
 def smith_normal_form(m: IntMatrix, with_transforms: bool = False) -> SmithForm:

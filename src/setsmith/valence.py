@@ -1,20 +1,23 @@
-"""The valence lane of the dense Smith reduction of a square matrix.
+"""The valence lane of the dense Smith reduction.
 
 The method of Dumas, Saunders and Villard (J. Symbolic Comput. 32, 2001),
-in word-size integers: a candidate minimal polynomial f = x^s g(x) of the
-matrix comes from a Krylov sequence modulo word primes, lifted by CRT, and
-f(A) = 0 is checked exactly by float64 matrix products, whose partial sums
-stay integers below 2**53 (as in FFLAS-FFPACK, Dumas, Giorgi and Pernet,
-ACM TOMS 2008).  With s <= 1, v = |g(0)| bounds every prime power of the
-Smith group.  v is split into pairwise coprime parts b**v_b(v) < 2**31,
-over the roots of f when they are all integers and by trial division
-otherwise; with x | f a rank prime that does not divide v joins them.  The
-parts are packed into moduli below 2**31, and one elimination over Z/M for
-each modulus M gives every gcd(d_i, M), so every invariant factor d_i.
-The lane refuses a non-square matrix, a Krylov degree over 16, a failed
-check, x^2 | f, a valence that neither splits over integer roots nor
-factors (a cofactor of 2**32 or more after trial division below 2**16),
-and a part of 2**31 or more; the caller then runs the int64 lane.
+in word-size integers.  It works on the matrix G = A itself when A is
+square, and otherwise on the Gram matrix G = A A^T (or A^T A, whichever is
+smaller), whose valence bounds the torsion of A as well.  A candidate
+minimal polynomial f = x^s g(x) of G comes from a Krylov sequence modulo
+word primes, lifted by CRT, and f(G) = 0 is checked exactly by float64
+matrix products, whose partial sums stay integers below 2**53 (as in
+FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008).  With s <= 1,
+v = |g(0)| bounds every prime power of the Smith group.  v is split into
+pairwise coprime parts b**v_b(v) < 2**31, over the roots of f when they
+are all integers and by trial division otherwise; with x | f a rank prime
+that does not divide v joins them.  The parts are packed into moduli
+below 2**31, and one elimination of A over Z/M for each modulus M gives
+every gcd(d_i, M), so every invariant factor d_i.  The lane refuses a
+Gram matrix with an entry bound of 2**62 or more, a Krylov degree over 16,
+a failed check, x^2 | f, a valence that neither splits over integer roots
+nor factors (a cofactor of 2**32 or more after trial division below
+2**16), and a part of 2**31 or more; the caller then runs the list lane.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .exact import _coprime_base, _xgcd, group_from_diagonal
+from .exact import (_INT64_CEILING, _coprime_base, _xgcd,
+                    group_from_diagonal)
 
 # The largest degree of a Krylov polynomial accepted (a scheme element's
 # minimal polynomial has degree at most k + 1), the bound on every modulus
@@ -272,34 +276,47 @@ def _valence_parts(coeffs: list[int], v: int) -> list[int] | None:
 
 
 def valence_finish(a: np.ndarray) -> list[int] | None:
-    """Every invariant factor of the square int64 matrix a, entries below
-    2**62, computed in word-size arithmetic; None when the valence lane
-    does not apply.
+    """Every invariant factor of the int64 matrix a, entries below 2**62,
+    computed in word-size arithmetic; None when the valence lane does not
+    apply.
 
-    A candidate minimal polynomial f of a comes from a Krylov sequence
-    modulo word primes, lifted by CRT, and is checked exactly: f(a) = 0.
+    a is transposed if it has more rows than columns, so that it is r x c
+    with r <= c.  The lane works on G = a when a is square, and otherwise
+    on the Gram matrix G = a a^T, whose entries are below c max|a|**2.
+    A candidate minimal polynomial f of G comes from a Krylov sequence
+    modulo word primes, lifted by CRT, and is checked exactly: f(G) = 0.
     With f = x^s g, s <= 1 and v = |g(0)| > 0, v annihilates the torsion
-    of coker a: for s = 0, v I = +-a h(a); for s = 1, g(a) kills the
-    column space of a.  So every invariant factor d_i but zero divides v,
-    and gcd(d_i, M) for M = v gives it.  With s = 1, M also takes a prime
-    q that does not divide v: gcd(d_i, q) is q exactly when d_i = 0.  M
-    is split into coprime moduli below 2**31, packed largest first; the
-    diagonal modulo each, put in chain order by group_from_diagonal, gives
-    gcd(d_i, M) entrywise.
-    Refused: non-square a, a Krylov degree over _MAX_DEGREE, a failed
-    check, x^2 | f, a valence that does not factor, and a part b**v_b(v)
-    of 2**31 or more.
+    of coker G: for s = 0, v I = +-G h(G); for s = 1, g(G) kills the
+    column space of G.  v also annihilates the torsion of coker a: if
+    m y is in col(a) for some m > 0, then y is in col(a) (x) Q, which is
+    col(G) (x) Q, since col(G) lies in col(a) and both have the rank of
+    a; so y is torsion modulo col(G), and v y is in col(G), inside
+    col(a).  So every invariant factor d_i of a but zero divides v, and
+    gcd(d_i, M) for M = v gives it.  With s = 1, M also takes a prime q
+    that does not divide v: gcd(d_i, q) is q exactly when d_i = 0.  M is
+    split into coprime moduli below 2**31, packed largest first; the
+    diagonal of a modulo each, put in chain order by group_from_diagonal,
+    gives gcd(d_i, M) entrywise.
+    Refused: a Gram matrix with c max|a|**2 of 2**62 or more, a Krylov
+    degree over _MAX_DEGREE, a failed check, x^2 | f, a valence that does
+    not factor, and a part b**v_b(v) of 2**31 or more.
     """
+    if a.shape[0] > a.shape[1]:
+        a = a.T
     n = a.shape[0]
-    if n != a.shape[1]:
-        return None
-    top = int(np.abs(a).max())
-    bound = (int(np.abs(a).sum(axis=1).max()) if top * n < 1 << 63
+    gram = a
+    if n < a.shape[1]:
+        top = int(np.abs(a).max())
+        if a.shape[1] * top * top >= _INT64_CEILING:
+            return None
+        gram = a @ a.T
+    top = int(np.abs(gram).max())
+    bound = (int(np.abs(gram).sum(axis=1).max()) if top * n < 1 << 63
              else top * n)
     # every root of f is an eigenvalue, at most bound in absolute value,
     # so |coefficient| <= (1 + bound)**degree
     first = _primes(n, 1)[0]
-    coeffs = _krylov_polynomial((a % first).astype(np.float64), first)
+    coeffs = _krylov_polynomial((gram % first).astype(np.float64), first)
     if coeffs is None:
         return None
     primes = _primes(n, 2 * (1 + bound) ** (len(coeffs) - 1))
@@ -307,7 +324,7 @@ def valence_finish(a: np.ndarray) -> list[int] | None:
         return None
     modulus = first
     for q in primes[1:]:
-        more = _krylov_polynomial((a % q).astype(np.float64), q)
+        more = _krylov_polynomial((gram % q).astype(np.float64), q)
         if more is None or len(more) != len(coeffs):
             return None
         inv = pow(modulus, -1, q)
@@ -318,7 +335,7 @@ def valence_finish(a: np.ndarray) -> list[int] | None:
     v = abs(coeffs[s])
     parts = _valence_parts(coeffs, v) if v else None
     if (parts is None or any(part >= _LOCAL_MODULUS for part in parts)
-            or not _annihilates(a, coeffs, bound)):
+            or not _annihilates(gram, coeffs, bound)):
         return None
     rank_prime = 0
     if s:

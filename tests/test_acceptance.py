@@ -60,10 +60,10 @@ def test_criterion_2_oracle_sweep(capsys):
     t0 = time.perf_counter()
     checked = 0
     mismatches = []
-    # every kc <= 4 with 3*kc - 1 <= n <= 11 (kc = 4 only at n = 11, 330
-    # columns), and kr = kc = 4 at n = 12 (495 columns)
-    shapes = [(n, kr, kc) for n in range(2, 12) for kc in (1, 2, 3, 4)
-              if n >= 3 * kc - 1 for kr in range(1, kc + 1)] + [(12, 4, 4)]
+    # every kc <= 4 with 3*kc - 1 <= n <= 12 (kc = 4 only at n = 11 and
+    # 12, up to 495 columns)
+    shapes = [(n, kr, kc) for n in range(2, 13) for kc in (1, 2, 3, 4)
+              if n >= 3 * kc - 1 for kr in range(1, kc + 1)]
     for n, kr, kc in shapes:
         for ell in range(kr + 1):
             p = SchemeParams(n, kr, kc, ell)
@@ -93,7 +93,7 @@ CLOSED_FORM_SWEEP = [
     ("kneser_k3_adjacency", range(8, 14)),
     ("kneser_k2_laplacian", range(5, 14)),
     ("kneser_k3_laplacian", range(7, 14)),
-    ("nonsquare_231", (9, 10)),
+    ("nonsquare_231", range(5, 17)),
 ]
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from setsmith.exact import (_INT64_CEILING, _LIST_LANE_BELOW, AbelianGroup,
                             ExactError, IntMatrix, SmithForm, _bareiss_det,
-                            _chain_fix, _diagonalize_fast, _eliminate,
+                            _chain_fix, _eliminate,
                             gcd_minors, group_from_diagonal, group_from_smith,
                             index, is_unimodular, smith_normal_form, stack,
                             unimodular_completion, unimodular_inverse)
@@ -96,9 +96,9 @@ def _random_unimodular(rng, n):
        density=st.sampled_from([0.3, 1.0]), seed=st.integers(0, 2 ** 32))
 def test_snf_properties_across_lanes(side, other, flip, bound, density, seed):
     # the smaller side is drawn uniformly, so shapes fall on both sides of
-    # _LIST_LANE_BELOW; entries near 2**61 start on the int64 lane and
-    # outgrow it, which hands the trailing block to the list lane, and
-    # entries of 2**62 or more take the list lane from the start
+    # _LIST_LANE_BELOW; entries near 2**61 reach the valence lane when
+    # square, and a non-square Gram bound past 2**62 sends them back to
+    # the list lane, as entries of 2**62 or more are from the start
     assert 1 < _LIST_LANE_BELOW <= 24
     rng = random.Random(seed)
     rows, cols = side, max(side, other)
@@ -131,50 +131,33 @@ def _ceiling_case(corner, lower):
     return IntMatrix(data)
 
 
+def _chain(values):
+    values = sorted(values)
+    _chain_fix(values)
+    return tuple(values)
+
+
+def _array(m):
+    return np.array(m.data, dtype=np.int64)
+
+
 def _lane_factors(m):
-    """Factors of m on the list lane alone, and through smith_normal_form;
-    both must be the same chain, of product |det m|."""
-    diag = sorted(_eliminate([list(row) for row in m.data], m.rows, m.cols))
-    _chain_fix(diag)
-    f = smith_normal_form(m).invariant_factors
-    assert f == tuple(diag)
+    """Factors of m on the list lane alone, and through smith_normal_form,
+    and from the valence lane where it answers; all must be the same
+    chain, of product |det m|."""
+    f = _chain(_eliminate([list(row) for row in m.data], m.rows, m.cols))
+    assert smith_normal_form(m).invariant_factors == f
+    rest = valence_finish(_array(m))
+    assert rest is None or _chain(rest) == f
     assert prod(f) == abs(_bareiss_det(m.data)) != 0
     return f
 
 
-def test_int64_lane_hands_off_at_the_ceiling():
-    # the first update would set entry (1, 1) to -3*2**60 - 2**60 = -2**62:
-    # the lane must stop before it, with nothing reduced
-    rng = random.Random(5)
-    lower = [[rng.choice([-9, -5, -2, 0, 2, 3, 7]) for _ in range(18)]
-             for _ in range(18)]
-    m = _ceiling_case(-3 * 2 ** 60, lower)
-    assert m.cols >= _LIST_LANE_BELOW and m.max_abs() < _INT64_CEILING
-    a = np.array(m.data, dtype=np.int64)
-    assert _diagonalize_fast(a) == ([], False)
-    assert a.tolist() == m.data
-    _lane_factors(m)
-
-    # one below the ceiling the update runs, and with no other update
-    # needed the lane finishes on its own
-    m = _ceiling_case(-3 * 2 ** 60 + 1, [[(2 + 3 * i) * (i == j)
-                                          for j in range(18)] for i in range(18)])
-    a = np.array(m.data, dtype=np.int64)
-    diag, finished = _diagonalize_fast(a)
-    assert finished and len(diag) == m.cols
-    assert -(2 ** 62) < int(a.min()) and int(a.max()) < 2 ** 62
-    diag.sort()
-    _chain_fix(diag)
-    assert tuple(diag) == _lane_factors(m)
-
-
-def test_int64_lane_bound_follows_a_long_chain_on_one_pivot():
-    # rows (a, 2**16) and (b, -2**16) with consecutive Fibonacci numbers
-    # a < b, the least entries: the pivot a starts a Euclidean chain of
-    # about 30 row updates on one pivot, with no pivot scan between them,
-    # and each update multiplies the second column by about 2.6.  The
-    # scan's bound is below 2**47, so only the bound raised by each update
-    # stops the lane before an entry reaches 2**62.
+def _fibonacci_chain():
+    """Rows (a, 2**16) and (b, -2**16) with consecutive Fibonacci numbers
+    a < b near 2**45, the least entries, beside a diagonal: eliminating
+    on the pivot a runs a Euclidean chain of about 30 row updates, each
+    multiplying the second column by about 2.6."""
     a, b = 1, 2
     for _ in range(64):
         a, b = b, a + b
@@ -183,32 +166,30 @@ def test_int64_lane_bound_follows_a_long_chain_on_one_pivot():
     data[1][:2] = [b, -(2 ** 16)]
     for i in range(2, 20):
         data[i][i] = b + i
-    m = IntMatrix(data)
-    assert m.max_abs() < 2 ** 47
-    arr = np.array(m.data, dtype=np.int64)
-    _diagonalize_fast(arr)
-    assert -(2 ** 62) < int(arr.min()) and int(arr.max()) < 2 ** 62
+    return IntMatrix(data)
+
+
+def test_entries_near_the_ceiling_reduce_exactly():
+    # entries of 2**60 to 2**62 beside a small block, where eliminating on
+    # the 1 sets entry (1, 1) to -2**62, or to one above it
+    rng = random.Random(5)
+    lower = [[rng.choice([-9, -5, -2, 0, 2, 3, 7]) for _ in range(18)]
+             for _ in range(18)]
+    m = _ceiling_case(-3 * 2 ** 60, lower)
+    assert m.cols >= _LIST_LANE_BELOW and m.max_abs() < _INT64_CEILING
     _lane_factors(m)
-
-
-def _chain(values):
-    values = sorted(values)
-    _chain_fix(values)
-    return tuple(values)
-
-
-def _handoff(m):
-    """The int64 lane's pivots on m and the trailing block it hands off."""
-    a = np.array(m.data, dtype=np.int64)
-    diag, finished = _diagonalize_fast(a)
-    assert not finished
-    return diag, a[len(diag):, len(diag):]
+    _lane_factors(_ceiling_case(-3 * 2 ** 60 + 1,
+                                _diag([2 + 3 * i for i in range(18)])))
+    # and an entry growth of about 2**40 on one pivot
+    m = _fibonacci_chain()
+    assert m.max_abs() < 2 ** 47
+    _lane_factors(m)
 
 
 def _with_unit_pair(lower, width=None):
     """[[1, 2**31], [2**31, 2**62 - 1]], of determinant -1, beside the
-    block lower.  The 1 is the first pivot and its row update would reach
-    2**62, so the int64 lane hands off the whole matrix."""
+    block lower: an entry just below the ceiling, and in any non-square
+    shape a Gram bound far past it."""
     width = width or len(lower)
     data = [[0] * (2 + width) for _ in range(2 + len(lower))]
     data[0][:2] = [1, 2 ** 31]
@@ -231,12 +212,8 @@ def _nilpotent_corner(size):
     return data
 
 
-def _array(m):
-    return np.array(m.data, dtype=np.int64)
-
-
-# each fallback: a matrix the valence lane refuses, and that the int64 lane
-# hands off before any pivot, so the list lane reduces all of it
+# each fallback: a matrix the valence lane refuses, so the list lane
+# reduces all of it
 _REFUSED = {
     "non-square": _with_unit_pair([row + [5] for row in _diag([2, 3] * 9)],
                                   width=19),
@@ -252,17 +229,15 @@ def test_valence_finish_refusals_fall_back_to_the_list_lane(case):
     m = _REFUSED[case]
     assert min(m.rows, m.cols) >= _LIST_LANE_BELOW
     assert valence_finish(_array(m)) is None
-    diag, block = _handoff(m)
-    assert diag == []
+    assert valence_finish(_array(m).T) is None
     f = smith_normal_form(m).invariant_factors
-    assert f == _chain(_eliminate(block.tolist(), *block.shape))
     full = _eliminate([list(row) for row in m.data], m.rows, m.cols)
     assert f == _chain(full)
 
 
 def test_valence_finish_answers_past_the_unit_pair():
-    # a matrix the int64 lane would hand off at once, which the valence
-    # lane accepts: f = (x^2 - 2**62 x - 1)(x - 2)(x - 3)(x - 6), valence 36
+    # entries near the ceiling, which the valence lane accepts:
+    # f = (x^2 - 2**62 x - 1)(x - 2)(x - 3)(x - 6), valence 36
     m = _with_unit_pair(_diag([2, 3, 6] * 6))
     rest = valence_finish(_array(m))
     assert rest is not None
@@ -285,15 +260,15 @@ def test_valence_finish_answers_past_the_unit_pair():
 
 
 def test_valence_finish_matches_eliminate_on_scheme_elements():
-    # scheme elements the int64 lane hands off: coefficients of 2 to 4
+    # scheme elements the valence lane takes: coefficients of 2 to 4
     # digits, n <= 12, k <= 3, shifts of 0, at an eigenvalue (singular),
     # and at an eigenvalue minus a product of many small primes.  The
     # valence lane must answer each, and agree with the block reduction
-    # and, where the handed-off block is small enough for the list lane to
-    # be quick, with the int64 lane finished on the list lane.  A
-    # prime-rich shift moves the other eigenvalues near 5e5, where trial
-    # division may leave a cofactor it cannot factor; the eigenvalues are
-    # integers, so the valence splits over them instead.
+    # and, where the matrix is small enough for the list lane to be quick,
+    # with the list lane.  A prime-rich shift moves the other eigenvalues
+    # near 5e5, where trial division may leave a cofactor it cannot
+    # factor; the eigenvalues are integers, so the valence splits over
+    # them instead.
     checked = []
 
     @settings(max_examples=24, deadline=None, derandomize=True, database=None)
@@ -314,19 +289,16 @@ def test_valence_finish_matches_eliminate_on_scheme_elements():
                                               2 * 3 * 5 * 7 * 11 * 13 * 17,
                                               -(2 ** 4 * 3 ** 3 * 5 ** 2 * 19)]))
         m = scheme_element_matrix(p, coeffs, lam)
-        a = _array(m)
-        lane = a.copy()
-        diag, finished = _diagonalize_fast(lane)
-        assume(not finished)
-        rest = valence_finish(a)
+        assume(m.cols >= _LIST_LANE_BELOW and m.max_abs() < _INT64_CEILING)
+        rest = valence_finish(_array(m))
         checked.append(m.cols)
         assert rest is not None
         f = _chain(rest)
         assert group_from_smith(SmithForm(f, len(f)), m.cols) \
             == smith_group(p, coeffs, lam).group
-        block = lane[len(diag):, len(diag):]
-        if block.shape[0] <= 64:
-            assert f == _chain(diag + _eliminate(block.tolist(), *block.shape))
+        if m.cols <= 64:
+            assert f == _chain(_eliminate([list(row) for row in m.data],
+                                          m.rows, m.cols))
 
     check()
     assert len(checked) >= 12
@@ -354,6 +326,39 @@ def test_valence_finish_splits_an_unfactored_valence_over_integer_roots():
     f = _chain(valence_finish(a))
     assert group_from_smith(SmithForm(f, len(f)), m.cols) \
         == smith_group(p, coeffs, lam).group
+
+
+@pytest.mark.parametrize("n, ell", [(12, 0), (12, 1), (12, 2), (12, 3),
+                                    (13, 1)])
+def test_valence_finish_answers_non_square_scheme_matrices(n, ell):
+    # A(n, 3, 4, ell), 220 x 495 or 286 x 715, through the valence of its
+    # Gram matrix, in either orientation
+    p = SchemeParams(n, 3, 4, ell)
+    m = scheme_element_matrix(p)
+    a = _array(m)
+    rest = valence_finish(a)
+    assert rest is not None and len(rest) <= m.rows
+    f = _chain(rest)
+    assert group_from_smith(SmithForm(f, len(f)), m.cols) \
+        == smith_group(p).group
+    assert _chain(valence_finish(a.T)) == f
+
+
+def test_valence_finish_refuses_a_gram_matrix_past_the_ceiling():
+    # a row (2**32, 2**32) beside 3 I: its Gram entry 2**65 would wrap to 0
+    # in int64, and the valence 9 of what is left, with the rank prime 2,
+    # would read the factor 2**32 as 2
+    data = ([[0] * 20 + [2 ** 32] * 2]
+            + [row + [0, 0] for row in _diag([3] * 20)[1:]])
+    m = IntMatrix(data)
+    assert m.shape() == (20, 22) and m.max_abs() < _INT64_CEILING
+    assert valence_finish(_array(m)) is None
+    assert valence_finish(_array(m).T) is None
+    want = (1,) + (3,) * 18 + (3 * 2 ** 32,)
+    assert _chain(_eliminate([list(row) for row in m.data], m.rows,
+                             m.cols)) == want
+    assert smith_normal_form(m).invariant_factors == want
+    assert smith_normal_form(m.transpose()).invariant_factors == want
 
 
 def _moduli():

@@ -169,21 +169,48 @@ def _fibonacci_chain():
     return IntMatrix(data)
 
 
-def test_entries_near_the_ceiling_reduce_exactly():
+def _int64_lane_offers(monkeypatch):
+    """The matrices smith_normal_form offers to the int64 (valence) lane."""
+    import setsmith.valence
+    offered, finish = [], setsmith.valence.valence_finish
+
+    def record(a):
+        offered.append(a.tolist())
+        return finish(a)
+    monkeypatch.setattr(setsmith.valence, "valence_finish", record)
+    return offered
+
+
+def test_int64_lane_hands_off_at_the_ceiling(monkeypatch):
     # entries of 2**60 to 2**62 beside a small block, where eliminating on
-    # the 1 sets entry (1, 1) to -2**62, or to one above it
+    # the 1 sets entry (1, 1) to -2**62, or to one above it: below the
+    # ceiling the int64 lane is offered the matrix, and at it the list
+    # lane takes the whole matrix; either way the factors are exact
+    offered = _int64_lane_offers(monkeypatch)
     rng = random.Random(5)
     lower = [[rng.choice([-9, -5, -2, 0, 2, 3, 7]) for _ in range(18)]
              for _ in range(18)]
-    m = _ceiling_case(-3 * 2 ** 60, lower)
-    assert m.cols >= _LIST_LANE_BELOW and m.max_abs() < _INT64_CEILING
-    _lane_factors(m)
-    _lane_factors(_ceiling_case(-3 * 2 ** 60 + 1,
-                                _diag([2 + 3 * i for i in range(18)])))
-    # and an entry growth of about 2**40 on one pivot
+    below = [_ceiling_case(-3 * 2 ** 60, lower),
+             _ceiling_case(-3 * 2 ** 60 + 1,
+                           _diag([2 + 3 * i for i in range(18)]))]
+    for m in below:
+        assert m.cols >= _LIST_LANE_BELOW and m.max_abs() < _INT64_CEILING
+        _lane_factors(m)
+    assert offered == [m.data for m in below]
+    at = _ceiling_case(-_INT64_CEILING, lower)
+    assert at.max_abs() == _INT64_CEILING
+    _lane_factors(at)
+    assert len(offered) == 2
+
+
+def test_int64_lane_bound_follows_a_long_chain_on_one_pivot(monkeypatch):
+    # an entry growth of about 2**40 on one pivot, from entries below
+    # 2**47: the int64 lane is offered it, and neither lane wraps
+    offered = _int64_lane_offers(monkeypatch)
     m = _fibonacci_chain()
     assert m.max_abs() < 2 ** 47
     _lane_factors(m)
+    assert offered == [m.data]
 
 
 def _with_unit_pair(lower, width=None):

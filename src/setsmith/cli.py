@@ -13,10 +13,9 @@ import sys
 
 from .exact import ConstructionError, ExactError, IntMatrix, smith_normal_form
 from .oracle import THEOREMS, bench, brute_force_group, verify_closed_form
-from .scheme import (DEFAULT_CAP, RECURSIVE, SUPERSTANDARD, SchemeParams,
-                     degree, diagonal_form_entries, e_matrices, eigenvalues,
-                     intersection_matrix, ms_matrices, bier_p, smith_group,
-                     unit_coeffs, w_matrix)
+from .scheme import (DEFAULT_CAP, SchemeParams, degree, diagonal_form_entries,
+                     e_matrices, eigenvalues, intersection_matrix, ms_matrices,
+                     bier_p, smith_group, unit_coeffs, w_matrix)
 from .superstandard import check_conjecture, p_tilde
 
 
@@ -226,8 +225,7 @@ def cmd_export_matrix(args, parser) -> int:
     elif which == "W":
         m = w_matrix(args.n, args.i, args.j)
     elif which == "E":
-        family = args.e_family or RECURSIVE
-        m = e_matrices(args.n, args.s, family)[args.s]
+        m = e_matrices(args.n, args.s)[args.s]
     else:
         m = p_tilde(args.n, args.i, args.j)
     text = m.to_text()
@@ -343,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--i", type=int, default=None)
     sp.add_argument("--j", type=int, default=None)
     sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--e-family", choices=[RECURSIVE, SUPERSTANDARD],
-                    default=None)
     sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_export_matrix)
 

@@ -254,8 +254,8 @@ class VerificationReport:
         }
 
 
-def verify_closed_form(theorem_id: str, n: int, cap: int = DEFAULT_CAP,
-                       with_oracle: bool = True) -> VerificationReport:
+def verify_closed_form(theorem_id: str, n: int,
+                       cap: int = DEFAULT_CAP) -> VerificationReport:
     """Evaluate a published table at n and compare it against the block
     reduction and (size permitting) the dense oracle.
 
@@ -274,7 +274,7 @@ def verify_closed_form(theorem_id: str, n: int, cap: int = DEFAULT_CAP,
         structured, timings["structured"] = _best_ms(
             lambda: smith_group(p, unit_coeffs(p), lam).group)
     oracle_group = None
-    if comb(p.n, p.kc) <= cap and (with_oracle or structured is None):
+    if comb(p.n, p.kc) <= cap:
         oracle_group, timings["oracle"] = _best_ms(
             lambda: brute_force_group(p, unit_coeffs(p), lam, cap=cap))
     return VerificationReport(

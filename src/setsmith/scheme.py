@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .exact import (AbelianGroup, ConstructionError, ExactError, IntMatrix,
-                    group_from_diagonal, is_unimodular, smith_normal_form,
+                    group_from_diagonal, smith_normal_form,
                     unimodular_completion)
 from .subsets import STANDARD, binomial, enumerate_subsets, mu
 
@@ -26,8 +26,8 @@ class ParameterError(ExactError):
 
 
 # Largest side of a dense matrix built on request: brute_force_group's
-# default column cap, and where intersection_matrix, bier_p, w_matrix and
-# e_matrices refuse, before they enumerate a single subset.
+# default column cap, and where the scheme and super-standard matrix
+# builders refuse, before they enumerate a single subset.
 DEFAULT_CAP = 3000
 
 
@@ -102,6 +102,13 @@ def scheme_element_matrix(p: SchemeParams, coeffs=None, lam: int = 0) -> IntMatr
     return IntMatrix(data, row_labels=rows, col_labels=cols)
 
 
+def _inclusion(rows, cols) -> IntMatrix:
+    """Labelled 0/1 matrix, 1 where the row subset is inside the column one."""
+    cmask = _masks(cols)
+    data = [[1 if a & b == a else 0 for b in cmask] for a in _masks(rows)]
+    return IntMatrix(data, row_labels=rows, col_labels=cols, cols=len(cols))
+
+
 def bier_p(n: int, k: int) -> IntMatrix:
     """Inclusion matrix of standard (<= k)-subsets into unrestricted
     k-subsets: rows are the k-subsets, columns the standard subsets of size
@@ -111,12 +118,8 @@ def bier_p(n: int, k: int) -> IntMatrix:
         raise ParameterError("need 0 <= k <= n")
     _refuse_oversized(f"P({n},{k})", comb(n, k),
                       sum(mu(n, s) for s in range(k + 1)))
-    rows = enumerate_subsets(n, k)
-    cols = enumerate_subsets(n, k, STANDARD, up_to=True)
-    rmask = _masks(rows)
-    cmask = _masks(cols)
-    data = [[1 if b & a == b else 0 for b in cmask] for a in rmask]
-    return IntMatrix(data, row_labels=rows, col_labels=cols)
+    return _inclusion(enumerate_subsets(n, k, STANDARD, up_to=True),
+                      enumerate_subsets(n, k)).transpose()
 
 
 def w_matrix(n: int, i: int, j: int) -> IntMatrix:
@@ -127,15 +130,8 @@ def w_matrix(n: int, i: int, j: int) -> IntMatrix:
     if n < 0 or i < 0 or j < 0:
         raise ParameterError("need n, i, j >= 0")
     _refuse_oversized(f"W({n},{i},{j})", mu(n, i), mu(n, j))
-    rows = enumerate_subsets(n, i, STANDARD)
-    cols = enumerate_subsets(n, j, STANDARD)
-    if i > j:
-        return IntMatrix([[0] * len(cols) for _ in rows],
-                         row_labels=rows, col_labels=cols, cols=len(cols))
-    rmask = _masks(rows)
-    cmask = _masks(cols)
-    data = [[1 if a & b == a else 0 for b in cmask] for a in rmask]
-    return IntMatrix(data, row_labels=rows, col_labels=cols, cols=len(cols))
+    return _inclusion(enumerate_subsets(n, i, STANDARD),
+                      enumerate_subsets(n, j, STANDARD))
 
 
 def c_coeff(i: int, j: int, p: SchemeParams) -> int:
@@ -201,10 +197,7 @@ def d_product(n: int, i: int, j: int) -> int:
 # ---------------------------------------------------------------------------
 # The unimodular E family diagonalizing all W blocks at once
 
-RECURSIVE = "recursive"
-SUPERSTANDARD = "superstandard"
-
-_E_CACHE: dict[tuple[int, str], list[IntMatrix]] = {}
+_E_CACHE: dict[int, list[IntMatrix]] = {}
 _E_LOCK = threading.Lock()
 
 
@@ -214,69 +207,31 @@ def _extend_recursive(n: int, es: list[IntMatrix], k_max: int) -> None:
         ew = es[s] @ w_matrix(n, s, s + 1)
         dp = d_prime_entries(n, s, s + 1)
         rows = []
-        for t, row in enumerate(ew.data):
-            d = dp[t]
-            new = []
-            for v in row:
-                q, r = divmod(v, d)
-                if r:
-                    raise ConstructionError(
-                        f"row scaling of E_{s} W_{{{s},{s + 1}}} is not exact "
-                        f"at n={n}; the diagonalization guarantee is violated")
-                new.append(q)
-            rows.append(new)
+        for d, row in zip(dp, ew.data):
+            if any(v % d for v in row):
+                raise ConstructionError(
+                    f"row scaling of E_{s} W_{{{s},{s + 1}}} is not exact "
+                    f"at n={n}; the diagonalization guarantee is violated")
+            rows.append([v // d for v in row])
         eprime = IntMatrix(rows) if rows else IntMatrix.zeros(0, mu(n, s + 1))
         es.append(unimodular_completion(eprime))
 
 
-def _superstandard_family(n: int, k_max: int) -> list[IntMatrix]:
-    from . import superstandard  # local import; superstandard builds on scheme
-
-    es = []
-    for s in range(k_max + 1):
-        ps = superstandard.p_tilde(n, s, s)
-        size = mu(n, s)
-        if ps.shape() != (size, size):
-            raise ConstructionError(
-                f"super-standard basis matrix for n={n}, s={s} is "
-                f"{ps.rows}x{ps.cols}, expected {size}x{size}")
-        if not is_unimodular(ps):
-            raise ConstructionError(
-                f"super-standard basis matrix for n={n}, s={s} is not "
-                "unimodular; the conjectured construction fails here")
-        es.append(ps)
-    for s in range(k_max):
-        if es[s] @ w_matrix(n, s, s + 1) != d_matrix(n, s, s + 1) @ es[s + 1]:
-            raise ConstructionError(
-                f"super-standard family breaks the diagonalization identity "
-                f"at n={n}, s={s}")
-    return es
-
-
-def e_matrices(n: int, k_max: int, family: str = RECURSIVE) -> list[IntMatrix]:
+def e_matrices(n: int, k_max: int) -> list[IntMatrix]:
     """The unimodular mu_s x mu_s matrices E_0..E_{k_max} with
-    E_i W_{i,j} = D_{i,j} E_j.
-
-    family "recursive" builds them by exact row scaling plus unimodular
-    completion; family "superstandard" takes the super-standard inclusion
-    matrices instead and validates them (they are only conjecturally
-    unimodular).  Results are cached per (n, family).
-    """
+    E_i W_{i,j} = D_{i,j} E_j, built by exact row scaling plus unimodular
+    completion and cached per n.  (The super-standard p_tilde(n, s, s) are
+    conjectured to be another such family; see superstandard.)"""
     if n < 0 or k_max < 0:
         raise ParameterError("n and k_max must be nonnegative")
     if 3 * k_max > n + 1:
         raise ParameterError(
             f"the E construction needs k_max <= (n+1)/3, got n={n}, k_max={k_max}")
-    if family not in (RECURSIVE, SUPERSTANDARD):
-        raise ParameterError(f"unknown E family {family!r}")
     size = max(mu(n, s) for s in range(k_max + 1))
     _refuse_oversized(f"E_0..E_{k_max} at n={n}", size, size)
     with _E_LOCK:
-        es = _E_CACHE.setdefault((n, family), [IntMatrix([[1]])])
-        if family == RECURSIVE:
-            _extend_recursive(n, es, k_max)
-        elif len(es) <= k_max:
-            _E_CACHE[(n, family)] = es = _superstandard_family(n, k_max)
+        es = _E_CACHE.setdefault(n, [IntMatrix([[1]])])
+        _extend_recursive(n, es, k_max)
         return list(es[:k_max + 1])
 
 

@@ -4,8 +4,8 @@ around them.
 The stacked inclusion matrix of super-standard subsets into standard
 subsets is conjectured to be full rank with index 1 whenever both size
 parameters stay below (n+1)/3 (and hence unimodular when square).  Nothing
-in the main pipeline depends on this; these checks gather evidence and, on
-demand, validate the super-standard family as a drop-in set of E matrices.
+in the main pipeline depends on this; these checks gather evidence that the
+square p_tilde(n, s, s) are a second family of E matrices.
 """
 
 from __future__ import annotations
@@ -14,22 +14,20 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .exact import IntMatrix, smith_normal_form, stack
-from .scheme import (ParameterError, _masks, _refuse_oversized, d_matrix,
+from .scheme import (ParameterError, _inclusion, _refuse_oversized, d_matrix,
                      w_matrix)
 from .subsets import (STANDARD, SUPER_STANDARD, enumerate_subsets,
                       is_boundary, mu, phi)
 
 
 def w_tilde(n: int, i: int, j: int) -> IntMatrix:
-    """Inclusion matrix of super-standard i-subsets into standard j-subsets."""
+    """Inclusion matrix of super-standard i-subsets into standard j-subsets.
+    Refuses like w_matrix(n, i, j), whose rows include these rows."""
     if n < 0 or i < 0 or j < 0:
         raise ParameterError("need n, i, j >= 0")
-    rows = enumerate_subsets(n, i, SUPER_STANDARD)
-    cols = enumerate_subsets(n, j, STANDARD)
-    rmask = _masks(rows)
-    cmask = _masks(cols)
-    data = [[1 if a & b == a else 0 for b in cmask] for a in rmask]
-    return IntMatrix(data, row_labels=rows, col_labels=cols, cols=len(cols))
+    _refuse_oversized(f"Wtilde({n},{i},{j})", mu(n, i), mu(n, j))
+    return _inclusion(enumerate_subsets(n, i, SUPER_STANDARD),
+                      enumerate_subsets(n, j, STANDARD))
 
 
 def p_tilde(n: int, i: int, j: int) -> IntMatrix:

@@ -95,12 +95,28 @@ def _factor(v: int) -> dict[int, int] | None:
     return out
 
 
+def _newton(coeffs: list[int], r: int) -> int:
+    """r after Newton steps on sum c_i x^i, each rounded to an integer,
+    until one is 0 (at most 64)."""
+    for _ in range(64):
+        value = slope = 0
+        for c in reversed(coeffs):
+            value, slope = value * r + c, slope * r + value
+        step = (2 * value + slope) // (2 * slope) if slope else 0  # rounded
+        if step == 0:
+            return r
+        r -= step
+    return r
+
+
 def _integer_roots(coeffs: list[int]) -> list[int] | None:
     """The roots, with multiplicity, of the monic sum c_i x^i when they are
-    all integers, else None: np.roots, rounded, and checked by multiplying
-    the linear factors out in Python integers."""
+    all integers, else None: np.roots, rounded, refined by integer Newton
+    steps (np.roots can miss clustered roots by several units), and
+    checked by multiplying the linear factors out in Python integers."""
     try:
-        roots = [round(r.real) for r in np.roots([float(c) for c in coeffs[::-1]])]
+        roots = [_newton(coeffs, round(r.real))
+                 for r in np.roots([float(c) for c in coeffs[::-1]])]
     except (OverflowError, ValueError, np.linalg.LinAlgError):
         return None  # a coefficient or a root beyond float64
     product = [1]

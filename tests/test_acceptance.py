@@ -184,6 +184,8 @@ def test_criterion_5_appendix_suite(capsys):
     if (rep.rows, rep.cols, rep.rank, rep.holds) != (48, 42, 41, False):
         problems.append(("counterexample", rep))
 
+    # with i == j this is the super-standard E family, p_tilde(n, s, s):
+    # square mu_s x mu_s and unimodular
     for n in range(1, 14):
         jmax = (n + 1) // 3
         for j in range(jmax + 1):
@@ -216,6 +218,8 @@ def test_criterion_5_appendix_suite(capsys):
                 if len(enumerate_subsets(n, k, SUPER_STANDARD)) != want:
                     problems.append(("sso-count", n, k))
 
+    # with i = s, j = s + 1 this is that family's identity
+    # E_s W_{s,s+1} = D_{s,s+1} E_{s+1}
     for n in range(2, 13):
         for j in range(4):
             for i in range(j + 1):
@@ -232,15 +236,6 @@ def test_criterion_5_appendix_suite(capsys):
                 if i >= 1 and j >= 1 and n >= 3 * max(i, j):
                     if not phi_boundary_column_match(n, i, j):
                         problems.append(("phi-columns", n, i, j))
-
-    # the super-standard family builds and passes its validation (unimodular,
-    # and E_s W_{s,s+1} = D_{s,s+1} E_{s+1}; it raises otherwise) on every
-    # instance of the sweep of criterion 2, so the blocks, hence the groups,
-    # follow there as for the recursive family
-    for n in range(2, 12):
-        for kc in (1, 2, 3):
-            if n >= 3 * kc - 1:
-                e_matrices(n, kc, "superstandard")
 
     elapsed = time.perf_counter() - t0
     ok = not problems and elapsed < 600

@@ -355,6 +355,16 @@ def test_valence_finish_splits_an_unfactored_valence_over_integer_roots():
         == smith_group(p, coeffs, lam).group
 
 
+def test_integer_roots_recovers_clustered_roots():
+    # a minimal polynomial drawn by a prime-rich shift in the test above:
+    # np.roots puts two of its roots at 510116.25 and 510176.42
+    roots = (508722, 510122, 510170, 510510)
+    coeffs = [67588645556310361282800, -530231704591831920, 1559870864704,
+              -2039524, 1]
+    assert sorted(_integer_roots(coeffs)) == list(roots)
+    assert prod(roots) == coeffs[0]
+
+
 @pytest.mark.parametrize("n, ell", [(12, 0), (12, 1), (12, 2), (12, 3),
                                     (13, 1)])
 def test_valence_finish_answers_non_square_scheme_matrices(n, ell):

@@ -18,6 +18,7 @@ from setsmith.scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
 from setsmith.exact import _coprime_base, group_from_diagonal
 from setsmith.oracle import brute_force_group
 from setsmith.subsets import mu
+from setsmith.superstandard import p_tilde, w_tilde
 
 
 def test_params_validation():
@@ -188,12 +189,13 @@ def test_d_product_range():
 
 def test_oversized_builds_refuse_fast():
     # e_matrices(20, 5) needs 10659 x 10659 matrices; it used to run for
-    # minutes before anything was refused
+    # minutes before anything was refused.  w_tilde(100, 0, 3) is 1 x 156750
     for build in (lambda: e_matrices(20, 5),
-                  lambda: e_matrices(20, 5, "superstandard"),
+                  lambda: p_tilde(20, 5, 5),
                   lambda: intersection_matrix(SchemeParams(1000, 3, 3, 1)),
                   lambda: bier_p(1000, 3),
-                  lambda: w_matrix(1000, 2, 3)):
+                  lambda: w_matrix(1000, 2, 3),
+                  lambda: w_tilde(100, 0, 3)):
         t0 = time.perf_counter()
         with pytest.raises(SizeCapExceeded):
             build()
@@ -540,25 +542,38 @@ def test_group_does_not_grow_with_n():
         assert sum(m * _strip(d, b)[0] for d, m in group.runs) == want, b
 
 
+def _superstandard_family(n, k):
+    # the conjectured super-standard E family p_tilde(n, s, s), s <= k, and
+    # the checks it must pass to stand in for e_matrices(n, k): unimodular
+    # mu_s x mu_s matrices with E_s W_{s,s+1} = D_{s,s+1} E_{s+1}
+    es = [p_tilde(n, s, s) for s in range(k + 1)]
+    for s, e in enumerate(es):
+        assert e.shape() == (mu(n, s), mu(n, s)) and is_unimodular(e), (n, s)
+    for s in range(k):
+        assert es[s] @ w_matrix(n, s, s + 1) == d_matrix(n, s, s + 1) @ es[s + 1]
+    return es
+
+
 def test_e_families_give_same_groups():
     # the M_s blocks, hence the group, hold for any unimodular family with
-    # E_s W_{s,s+1} = D_{s,s+1} E_{s+1}; both families must build and pass
-    # that check for this instance
+    # E_s W_{s,s+1} = D_{s,s+1} E_{s+1}; the recursive and the super-standard
+    # family must both pass that check for this instance
     n, kc = 10, 3
-    for family in ("recursive", "superstandard"):
-        es = e_matrices(n, kc, family)
-        for s in range(kc):
-            assert es[s] @ w_matrix(n, s, s + 1) == d_matrix(n, s, s + 1) @ es[s + 1]
+    es = e_matrices(n, kc)
+    for s in range(kc):
+        assert es[s] @ w_matrix(n, s, s + 1) == d_matrix(n, s, s + 1) @ es[s + 1]
+    _superstandard_family(n, kc)
 
 
-def _assert_full_conjugation_structure(p, coeffs, lam, family="recursive"):
+def _assert_full_conjugation_structure(p, coeffs, lam, es=None):
     # materialize T = blockdiag(E) P^{-1} L P blockdiag(E^{-1}) and check
-    # every copy of every M_s sits in its predicted slot with zeros elsewhere
+    # every copy of every M_s sits in its predicted slot with zeros elsewhere;
+    # E is the recursive family unless es is given
     from setsmith.exact import unimodular_inverse
     n, k = p.n, p.kr
     big_l = scheme_element_matrix(p, coeffs, lam)
     p_mat = bier_p(n, k)
-    es = e_matrices(n, k, family)
+    es = e_matrices(n, k) if es is None else es
     size = comb(n, k)
     mus = [mu(n, j) for j in range(k + 1)]
     offs = [sum(mus[:j]) for j in range(k + 1)]
@@ -602,9 +617,10 @@ def test_full_conjugation_embeds_the_blocks():
     _assert_full_conjugation_structure(SchemeParams(9, 3, 3, 3), (1, -2, 3, 1), 4)
     # the conjecturally unimodular family produces the very same embedding
     _assert_full_conjugation_structure(SchemeParams(8, 2, 2, 0), (2, 0, -1),
-                                       -3, family="superstandard")
+                                       -3, es=_superstandard_family(8, 2))
     _assert_full_conjugation_structure(SchemeParams(10, 3, 3, 2), None,
-                                       degree(10, 3, 2), family="superstandard")
+                                       degree(10, 3, 2),
+                                       es=_superstandard_family(10, 3))
 
 
 def test_concurrent_callers_share_the_e_cache():

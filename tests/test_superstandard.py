@@ -101,12 +101,16 @@ def test_phi_boundary_column_match():
 
 
 def test_superstandard_family_matches_recursive_groups():
-    # the group never depends on the family; each must build and validate
-    e_matrices(11, 3, "recursive")
-    fam = e_matrices(11, 3, "superstandard")
+    # the group never depends on the family; the recursive one must build,
+    # and the super-standard one, p_tilde(11, s, s), must be unimodular and
+    # satisfy E_s W_{s,s+1} = D_{s,s+1} E_{s+1}
+    e_matrices(11, 3)
+    fam = [p_tilde(11, s, s) for s in range(4)]
     for s, e in enumerate(fam):
         assert e.shape() == (mu(11, s), mu(11, s))
         assert is_unimodular(e)
+    for s in range(3):
+        assert check_simpler_lemma(11, s, s + 1)
 
 
 def test_superstandard_counts_against_conjectured_rows():

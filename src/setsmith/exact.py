@@ -3,8 +3,9 @@
 Everything here is exact.  The Smith reduction has two lanes.  A matrix
 with fewer than _LIST_LANE_BELOW rows or columns (every M_s block), or
 with an entry of 2**62 or more, is reduced on lists of Python integers,
-which cannot overflow.  Any other one (the dense oracle's matrices) goes
-to the valence lane (setsmith.valence), which works modulo word-size
+which cannot overflow.  Any other one (the dense oracle's matrices,
+handed over as int64 arrays) goes to the valence lane
+(setsmith.valence), which works modulo word-size
 moduli bounded by the valence of the matrix, or of its Gram matrix when
 it is not square, and checks its minimal polynomial exactly.  A matrix
 the valence lane refuses is reduced on the list lane.  Transforms are
@@ -56,15 +57,10 @@ class IntMatrix:
                  cols: int | None = None):
         data = [list(row) for row in data]
         rows = len(data)
-        if rows:
-            width = len(data[0])
-            if cols is not None and cols != width:
-                raise ExactError("explicit column count does not match data")
-            cols = width
-        elif cols is None:
-            cols = 0
+        if cols is None:
+            cols = len(data[0]) if rows else 0
         if any(len(row) != cols for row in data):
-            raise ExactError("ragged rows")
+            raise ExactError("ragged rows, or rows of other than cols entries")
         if row_labels is not None:
             row_labels = tuple(row_labels)
             if len(row_labels) != rows:
@@ -85,10 +81,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        data = [[0] * n for _ in range(n)]
-        for i in range(n):
-            data[i][i] = 1
-        return cls(data)
+        return cls.diagonal([1] * n)
 
     @classmethod
     def diagonal(cls, entries, rows: int | None = None,
@@ -113,10 +106,8 @@ class IntMatrix:
                    default=0)
 
     def transpose(self) -> "IntMatrix":
-        if self.rows == 0 or self.cols == 0:
-            out = IntMatrix.zeros(self.cols, self.rows)
-        else:
-            out = IntMatrix([list(col) for col in zip(*self.data)])
+        out = IntMatrix(zip(*self.data) if self.rows else [[]] * self.cols,
+                        cols=self.rows)
         out.row_labels = self.col_labels
         out.col_labels = self.row_labels
         return out
@@ -138,25 +129,15 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ExactError("shape mismatch in product")
-        if self.rows == 0 or other.cols == 0:
-            return IntMatrix.zeros(self.rows, other.cols)
-        # int64 products are exact as long as no dot product can reach 2**62.
+        # a factor with no nonzero entry (or no entries) gives zeros; int64
+        # products are exact as long as no dot product can reach 2**62, and
+        # past that numpy multiplies Python ints (dtype object)
         ma, mb = self.max_abs(), other.max_abs()
-        if ma and mb and self.cols * ma * mb < (1 << 62):
-            a = np.array(self.data, dtype=np.int64)
-            b = np.array(other.data, dtype=np.int64)
-            return IntMatrix((a @ b).tolist())
-        out = [[0] * other.cols for _ in range(self.rows)]
-        bdata = other.data
-        for i, arow in enumerate(self.data):
-            acc = out[i]
-            for t, v in enumerate(arow):
-                if v:
-                    brow = bdata[t]
-                    for j, w in enumerate(brow):
-                        if w:
-                            acc[j] += v * w
-        return IntMatrix(out)
+        if not (ma and mb):
+            return IntMatrix.zeros(self.rows, other.cols)
+        dtype = np.int64 if self.cols * ma * mb < (1 << 62) else object
+        a = np.array(self.data, dtype=dtype)
+        return IntMatrix((a @ np.array(other.data, dtype=dtype)).tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
@@ -368,29 +349,37 @@ def _mix_pair(a: list[list[int]], i: int, j: int, di: int, dj: int) -> None:
     a[j] = [s - q * r for s, r in zip(a[j], a[i])]
 
 
-def _diagonal_values(m: IntMatrix) -> list[int]:
+def _diagonal_values(m: IntMatrix | np.ndarray) -> list[int]:
     """Positive diagonal values of some diagonal form of m (no chain yet).
 
-    Matrices with fewer than _LIST_LANE_BELOW rows or columns, and those
-    with an entry at or above _INT64_CEILING, go to the list lane.  Any
-    other one goes to the valence lane (valence.valence_finish), which
-    reduces it modulo word-size moduli bounded by the valence, and one it
-    refuses goes to the list lane too.
+    m is an IntMatrix, or an int64 or object (Python int) numpy array.
+    Matrices with fewer than _LIST_LANE_BELOW rows or columns (an IntMatrix
+    of them never touches numpy), and those with an entry at or above
+    _INT64_CEILING, go to the list lane.  Any other one goes to the
+    valence lane (valence.valence_finish), and one it refuses goes to the
+    list lane too.
     """
-    if (min(m.rows, m.cols) >= _LIST_LANE_BELOW
-            and m.max_abs() < _INT64_CEILING):
+    if isinstance(m, IntMatrix):
+        if (min(m.rows, m.cols) < _LIST_LANE_BELOW
+                or m.max_abs() >= _INT64_CEILING):
+            return _eliminate([list(row) for row in m.data], m.rows, m.cols)
+        m = np.array(m.data, dtype=np.int64)
+    if (m.dtype == np.int64 and min(m.shape) >= _LIST_LANE_BELOW
+            and np.abs(m).max() < _INT64_CEILING):
         # imported on first use: a cold start compiles every module it
         # imports, and only dense matrices get here
         from .valence import valence_finish
-        diag = valence_finish(np.array(m.data, dtype=np.int64))
+        diag = valence_finish(m)
         if diag is not None:
             return diag
-    return _eliminate([list(row) for row in m.data], m.rows, m.cols)
+    return _eliminate(m.tolist(), *m.shape)
 
 
-def smith_normal_form(m: IntMatrix, with_transforms: bool = False) -> SmithForm:
+def smith_normal_form(m: IntMatrix | np.ndarray,
+                      with_transforms: bool = False) -> SmithForm:
     """The unique nonnegative divisibility-chain diagonal form of m.
 
+    Without transforms, m may also be a numpy array (see _diagonal_values).
     With transforms, also returns unimodular left (rows x rows) and right
     (cols x cols) with left @ m @ right equal to the padded diagonal.
     """

@@ -16,20 +16,17 @@ from math import comb, gcd
 from .exact import AbelianGroup, ExactError, group_from_diagonal, \
     group_from_smith, smith_normal_form
 from .scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
-                     SizeCapExceeded, degree, scheme_element_matrix,
-                     smith_group, unit_coeffs)
+                     SizeCapExceeded, _scheme_array, degree, smith_group,
+                     unit_coeffs)
 from .subsets import mu
 
 
 def brute_force_group(p: SchemeParams, coeffs=None, lam: int = 0,
                       cap: int = DEFAULT_CAP) -> AbelianGroup:
-    """Smith group from the dense matrix, no structure exploited."""
-    size = comb(p.n, p.kc)
-    if size > cap:
-        raise SizeCapExceeded(
-            f"dense matrix has {size} columns, above the cap of {cap}")
-    m = scheme_element_matrix(p, coeffs, lam)
-    return group_from_smith(smith_normal_form(m), m.cols)
+    """Smith group from the dense matrix, no structure exploited.  Refuses
+    with SizeCapExceeded a matrix with more than cap rows or columns."""
+    a = _scheme_array(p, coeffs, lam, cap)
+    return group_from_smith(smith_normal_form(a), a.shape[1])
 
 
 def _best_ms(fn, repeats: int = 1):
@@ -274,7 +271,7 @@ def verify_closed_form(theorem_id: str, n: int,
         structured, timings["structured"] = _best_ms(
             lambda: smith_group(p, unit_coeffs(p), lam).group)
     oracle_group = None
-    if comb(p.n, p.kc) <= cap:
+    if max(comb(p.n, p.kr), comb(p.n, p.kc)) <= cap:
         oracle_group, timings["oracle"] = _best_ms(
             lambda: brute_force_group(p, unit_coeffs(p), lam, cap=cap))
     return VerificationReport(
@@ -329,7 +326,7 @@ def bench(p: SchemeParams, coeffs=None, lam: int = 0, repeats: int = 1,
     brute_ms = None
     agree = None
     size = comb(p.n, p.kc)
-    if size <= cap:
+    if max(size, comb(p.n, p.kr)) <= cap:
         brute, brute_ms = _best_ms(
             lambda: brute_force_group(p, coeffs, lam, cap=cap), repeats)
         agree = brute == result.group

@@ -15,9 +15,11 @@ import threading
 from dataclasses import dataclass
 from math import comb, prod
 
-from .exact import (AbelianGroup, ConstructionError, ExactError, IntMatrix,
-                    group_from_diagonal, smith_normal_form,
-                    unimodular_completion)
+import numpy as np
+
+from .exact import (_INT64_CEILING, AbelianGroup, ConstructionError,
+                    ExactError, IntMatrix, group_from_diagonal,
+                    smith_normal_form, unimodular_completion)
 from .subsets import STANDARD, binomial, enumerate_subsets, mu
 
 
@@ -35,10 +37,11 @@ class SizeCapExceeded(ExactError):
     """The requested dense matrix is larger than the configured cap."""
 
 
-def _refuse_oversized(what: str, rows: int, cols: int) -> None:
-    if max(rows, cols) > DEFAULT_CAP:
+def _refuse_oversized(what: str, rows: int, cols: int,
+                      cap: int = DEFAULT_CAP) -> None:
+    if max(rows, cols) > cap:
         raise SizeCapExceeded(
-            f"{what} would be {rows}x{cols}, above the cap of {DEFAULT_CAP} "
+            f"{what} would be {rows}x{cols}, above the cap of {cap} "
             "rows or columns")
 
 
@@ -76,37 +79,59 @@ def unit_coeffs(p: SchemeParams) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _masks(subsets) -> list[int]:
-    return [sum(1 << (e - 1) for e in s) for s in subsets]
+def _meets(rows, cols) -> np.ndarray:
+    """|a & b| for every subset a in rows and b in cols (all of one size),
+    as int16: the rows of a 0/1 membership table (element x column) summed
+    over the elements of a.  Shorter rows are padded with 0, whose row in
+    the table is zero."""
+    width = max(map(len, rows), default=0)
+    r = np.array([a + (0,) * (width - len(a)) for a in rows], dtype=np.intp)
+    top = max((s[-1] for s in (*rows, *cols) if s), default=0)
+    member = np.zeros((top + 1, len(cols)), dtype=np.int16)
+    member[np.array(cols, dtype=np.intp), np.arange(len(cols))[:, None]] = 1
+    sizes = np.zeros((len(rows), len(cols)), dtype=np.int16)
+    for t in range(width):
+        sizes += member[r[:, t]]
+    return sizes
+
+
+def _scheme_array(p: SchemeParams, coeffs=None, lam: int = 0,
+                  cap: int = DEFAULT_CAP) -> np.ndarray:
+    """The dense matrix of sum_l b_l A_{n,kr,kc,l} - lam*I as an array,
+    rows kr-subsets and columns kc-subsets in lexicographic order: int64
+    when max|b_l| + |lam| < 2**62, so that every entry is below 2**62, and
+    otherwise dtype object, holding exact Python ints.  Refuses with
+    SizeCapExceeded, before enumerating, a side above cap."""
+    coeffs = _check_coeffs(p, coeffs, lam)
+    rows = comb(p.n, p.kr)
+    _refuse_oversized(f"sum_l b_l A({p.n},{p.kr},{p.kc},l)", rows,
+                      comb(p.n, p.kc), cap)
+    sizes = _meets(enumerate_subsets(p.n, p.kr), enumerate_subsets(p.n, p.kc))
+    wide = max(map(abs, coeffs)) + abs(lam) >= _INT64_CEILING
+    a = np.array(coeffs, dtype=object if wide else np.int64)[sizes]
+    if lam:
+        a[np.arange(rows), np.arange(rows)] -= lam
+    return a
 
 
 def intersection_matrix(p: SchemeParams) -> IntMatrix:
     """0/1 matrix with entry 1 iff |A & B| == ell, rows kr-subsets, cols
     kc-subsets, both in lexicographic order."""
-    _refuse_oversized(f"A({p.n},{p.kr},{p.kc},{p.ell})",
-                      comb(p.n, p.kr), comb(p.n, p.kc))
     return scheme_element_matrix(p, unit_coeffs(p))
 
 
 def scheme_element_matrix(p: SchemeParams, coeffs=None, lam: int = 0) -> IntMatrix:
     """Dense matrix of sum_l b_l A_{n,kr,kc,l} - lam*I."""
-    coeffs = _check_coeffs(p, coeffs, lam)
-    rows = enumerate_subsets(p.n, p.kr)
-    cols = enumerate_subsets(p.n, p.kc)
-    rmask = _masks(rows)
-    cmask = _masks(cols)
-    data = [[coeffs[(a & b).bit_count()] for b in cmask] for a in rmask]
-    if lam:
-        for i in range(len(rows)):
-            data[i][i] -= lam
-    return IntMatrix(data, row_labels=rows, col_labels=cols)
+    a = _scheme_array(p, coeffs, lam)
+    return IntMatrix(a.tolist(), row_labels=enumerate_subsets(p.n, p.kr),
+                     col_labels=enumerate_subsets(p.n, p.kc))
 
 
 def _inclusion(rows, cols) -> IntMatrix:
     """Labelled 0/1 matrix, 1 where the row subset is inside the column one."""
-    cmask = _masks(cols)
-    data = [[1 if a & b == a else 0 for b in cmask] for a in _masks(rows)]
-    return IntMatrix(data, row_labels=rows, col_labels=cols, cols=len(cols))
+    inside = _meets(rows, cols) == np.array([len(a) for a in rows])[:, None]
+    return IntMatrix(inside.astype(np.int64).tolist(), row_labels=rows,
+                     col_labels=cols, cols=len(cols))
 
 
 def bier_p(n: int, k: int) -> IntMatrix:
@@ -310,11 +335,15 @@ def block_multiplicity(n: int, s: int) -> int:
 def _combined_f(p: SchemeParams, coeffs: tuple[int, ...]) -> list[list[int]]:
     """table[i][j] = sum_l b_l f_i(j), f taken at ell = l, for i <= kr and
     j <= kc: the coefficient of W_{i,j} in the conjugated triangular form of
-    the combination.  Zero below the diagonal, where W_{i,j} vanishes."""
+    the combination.  Zero below the diagonal, where W_{i,j} vanishes.
+    f_coeff's alternating sum runs once, on g[v][j] = sum_l b_l c_v(j)."""
     terms = [(b, SchemeParams(p.n, p.kr, p.kc, ell))
              for ell, b in enumerate(coeffs) if b]
-    return [[sum(b * f_coeff(i, j, q) for b, q in terms) if i <= j else 0
-             for j in range(p.kc + 1)] for i in range(p.kr + 1)]
+    g = [[sum(b * c_coeff(v, j, q) for b, q in terms) if v <= j else 0
+          for j in range(p.kc + 1)] for v in range(p.kr + 1)]
+    return [[sum((-1) ** (i + v) * comb(i, v) * g[v][j] for v in range(i + 1))
+             if i <= j else 0 for j in range(p.kc + 1)]
+            for i in range(p.kr + 1)]
 
 
 def _ms_block(s: int, p: SchemeParams, table: list[list[int]],

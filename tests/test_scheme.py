@@ -4,6 +4,7 @@ import time
 from itertools import combinations
 from math import comb, gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from setsmith.scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
                              eigenvalues, f_coeff, intersection_matrix,
                              ms_matrices, ms_matrix, scheme_element_matrix,
                              smith_group, triangular_check, w_matrix)
+from setsmith.scheme import _combined_f, _scheme_array
 from setsmith.exact import _coprime_base, group_from_diagonal
 from setsmith.oracle import brute_force_group
 from setsmith.subsets import mu
@@ -193,6 +195,8 @@ def test_oversized_builds_refuse_fast():
     for build in (lambda: e_matrices(20, 5),
                   lambda: p_tilde(20, 5, 5),
                   lambda: intersection_matrix(SchemeParams(1000, 3, 3, 1)),
+                  lambda: scheme_element_matrix(SchemeParams(3001, 1, 1, 0),
+                                                (1, 1)),
                   lambda: bier_p(1000, 3),
                   lambda: w_matrix(1000, 2, 3),
                   lambda: w_tilde(100, 0, 3)):
@@ -646,12 +650,55 @@ def test_concurrent_callers_share_the_e_cache():
 
 
 def test_scheme_element_matrix_against_definition():
-    p = SchemeParams(7, 2, 2, 1)
-    coeffs = (2, -1, 3)
-    lam = 4
-    m = scheme_element_matrix(p, coeffs, lam)
-    subs = list(m.row_labels)
-    for i, a in enumerate(subs):
-        for j, b in enumerate(subs):
-            want = coeffs[len(set(a) & set(b))] - (lam if i == j else 0)
-            assert m.data[i][j] == want
+    for p, coeffs, lam in [
+            (SchemeParams(7, 2, 2, 1), (2, -1, 3), 4),
+            (SchemeParams(70, 1, 1, 0), (5, -3), 0),      # n > 64
+            (SchemeParams(70, 1, 2, 1), (1, 2), 0),
+            (SchemeParams(8, 1, 3, 1), (-4, 9), 0),       # kr < kc
+            (SchemeParams(6, 0, 2, 0), (7,), 0),          # kr = 0
+            (SchemeParams(5, 0, 0, 0), (3,), -2),         # kr = kc = 0
+            (SchemeParams(7, 2, 2, 0), (2 ** 70, -1, 3), -5),
+            (SchemeParams(6, 3, 3, 3), (1, 0, -2, 4), -(2 ** 65))]:
+        m = scheme_element_matrix(p, coeffs, lam)
+        assert m.shape() == (comb(p.n, p.kr), comb(p.n, p.kc))
+        assert m.row_labels == tuple(combinations(range(1, p.n + 1), p.kr))
+        assert m.col_labels == tuple(combinations(range(1, p.n + 1), p.kc))
+        for i, a in enumerate(m.row_labels):
+            row = m.data[i]
+            for j, b in enumerate(m.col_labels):
+                want = coeffs[len(set(a) & set(b))] - (lam if i == j else 0)
+                assert row[j] == want and type(row[j]) is int, (p, i, j)
+
+
+def test_scheme_array_is_int64_only_below_the_ceiling():
+    p = SchemeParams(6, 2, 2, 1)
+    top = 2 ** 62
+    assert _scheme_array(p, (top - 11, 0, 1), 10).dtype == np.int64
+    assert _scheme_array(p, (top - 10, 0, 1), 10).dtype == object
+    assert _scheme_array(p, (1, -top, 1)).dtype == object
+    wide = _scheme_array(p, (1, top + 3, 1), -10)
+    assert wide[0, 0] == 11 and wide[0, 1] == top + 3
+
+
+def test_dense_oracle_is_exact_past_int64():
+    # 28 columns, with entries past 2**64: the object array must reach the
+    # list lane whole, as int64 would wrap around
+    p = SchemeParams(8, 2, 2, 2)
+    for coeffs, lam in [((2 ** 70, 3, -5), 0), ((7, -(2 ** 70) + 1, 2), 2),
+                        ((2 ** 63, 2 ** 63 + 1, 1), -(2 ** 66))]:
+        assert brute_force_group(p, coeffs, lam) == smith_group(p, coeffs, lam).group
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_combined_f_matches_the_per_ell_definition(data):
+    kc = data.draw(st.integers(0, 5))
+    kr = data.draw(st.integers(0, kc))
+    n = data.draw(st.integers(kc, 40))
+    coeffs = tuple(data.draw(st.integers(-10 ** 30, 10 ** 30) | st.just(0))
+                   for _ in range(kr + 1))
+    p = SchemeParams(n, kr, kc, 0)
+    want = [[sum(b * f_coeff(i, j, SchemeParams(n, kr, kc, ell))
+                 for ell, b in enumerate(coeffs)) if i <= j else 0
+             for j in range(kc + 1)] for i in range(kr + 1)]
+    assert _combined_f(p, coeffs) == want

@@ -14,8 +14,8 @@ import sys
 from .exact import ConstructionError, ExactError, IntMatrix, smith_normal_form
 from .oracle import THEOREMS, bench, brute_force_group, verify_closed_form
 from .scheme import (DEFAULT_CAP, SchemeParams, degree, diagonal_form_entries,
-                     e_matrices, eigenvalues, intersection_matrix, ms_matrices,
-                     bier_p, smith_group, unit_coeffs, w_matrix)
+                     e_matrices, eigenvalues, in_range, intersection_matrix,
+                     ms_matrices, bier_p, smith_group, unit_coeffs, w_matrix)
 from .superstandard import check_conjecture, p_tilde
 
 
@@ -133,7 +133,7 @@ def cmd_oracle(args, parser) -> int:
     group = brute_force_group(p, coeffs, lam, cap=args.cap)
     structured = None
     agree = None
-    if p.n >= 3 * p.kc - 1:
+    if in_range(p.n, p.kc):
         structured = smith_group(p, coeffs, lam).group
         agree = structured == group
     if args.json:
@@ -188,8 +188,8 @@ def cmd_verify(args, parser) -> int:
 def cmd_conjecture(args, parser) -> int:
     triples = [(n, i, j)
                for n in range(args.n_min, args.n_max + 1)
-               for j in range(0, args.k_max + 1) if 3 * j <= n + 1
-               for i in range(0, j + 1) if 3 * i <= n + 1]
+               for j in range(0, args.k_max + 1) if in_range(n, j)
+               for i in range(0, j + 1)]
     reports = [check_conjecture(*t) for t in triples]
     log_lines = []
     all_hold = True

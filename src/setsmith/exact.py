@@ -49,16 +49,21 @@ class ConstructionError(RuntimeError):
 
 
 class IntMatrix:
-    """Dense integer matrix with optional subsets labelling rows/columns."""
+    """Dense integer matrix with optional subsets labelling rows/columns.
+    data is a sequence of rows, or a 2-D integer array (converted once)."""
 
     __slots__ = ("rows", "cols", "data", "row_labels", "col_labels")
 
     def __init__(self, data, row_labels=None, col_labels=None,
                  cols: int | None = None):
-        data = [list(row) for row in data]
-        rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if rows else 0
+        if isinstance(data, np.ndarray):
+            rows, cols = data.shape
+            data = data.tolist()
+        else:
+            data = [list(row) for row in data]
+            rows = len(data)
+            if cols is None:
+                cols = len(data[0]) if rows else 0
         if any(len(row) != cols for row in data):
             raise ExactError("ragged rows, or rows of other than cols entries")
         if row_labels is not None:
@@ -137,7 +142,7 @@ class IntMatrix:
             return IntMatrix.zeros(self.rows, other.cols)
         dtype = np.int64 if self.cols * ma * mb < (1 << 62) else object
         a = np.array(self.data, dtype=dtype)
-        return IntMatrix((a @ np.array(other.data, dtype=dtype)).tolist())
+        return IntMatrix(a @ np.array(other.data, dtype=dtype))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):

@@ -16,8 +16,8 @@ from math import comb, gcd
 from .exact import AbelianGroup, ExactError, group_from_diagonal, \
     group_from_smith, smith_normal_form
 from .scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
-                     SizeCapExceeded, _scheme_array, degree, smith_group,
-                     unit_coeffs)
+                     SizeCapExceeded, _scheme_array, degree, in_range,
+                     smith_group, unit_coeffs)
 from .subsets import mu
 
 
@@ -267,7 +267,7 @@ def verify_closed_form(theorem_id: str, n: int,
     p = cf.params(n)
     lam = cf.lam(n)
     structured = None
-    if p.n >= 3 * p.kc - 1:
+    if in_range(p.n, p.kc):
         structured, timings["structured"] = _best_ms(
             lambda: smith_group(p, unit_coeffs(p), lam).group)
     oracle_group = None

@@ -123,15 +123,14 @@ def intersection_matrix(p: SchemeParams) -> IntMatrix:
 def scheme_element_matrix(p: SchemeParams, coeffs=None, lam: int = 0) -> IntMatrix:
     """Dense matrix of sum_l b_l A_{n,kr,kc,l} - lam*I."""
     a = _scheme_array(p, coeffs, lam)
-    return IntMatrix(a.tolist(), row_labels=enumerate_subsets(p.n, p.kr),
+    return IntMatrix(a, row_labels=enumerate_subsets(p.n, p.kr),
                      col_labels=enumerate_subsets(p.n, p.kc))
 
 
 def _inclusion(rows, cols) -> IntMatrix:
     """Labelled 0/1 matrix, 1 where the row subset is inside the column one."""
     inside = _meets(rows, cols) == np.array([len(a) for a in rows])[:, None]
-    return IntMatrix(inside.astype(np.int64).tolist(), row_labels=rows,
-                     col_labels=cols, cols=len(cols))
+    return IntMatrix(inside.astype(np.int64), row_labels=rows, col_labels=cols)
 
 
 def bier_p(n: int, k: int) -> IntMatrix:
@@ -172,11 +171,10 @@ def f_coeff(i: int, j: int, p: SchemeParams) -> int:
                for v in range(i + 1))
 
 
-def _check_d_range(n: int, i: int, j: int) -> None:
-    if not (0 <= i <= j and 3 * j <= n + 1):
-        raise ParameterError(
-            f"diagonal form of W_{{{i},{j}}} needs 0 <= i <= j <= (n+1)/3, "
-            f"got n={n}, i={i}, j={j}")
+def in_range(n: int, k: int) -> bool:
+    """Whether n >= 3k - 1, where the W blocks on subsets of size at most k
+    diagonalize together: the range of e_matrices and of ms_matrices (k = kc)."""
+    return 3 * k <= n + 1
 
 
 def _d_pairs(n: int, i: int, j: int) -> list[tuple[int, int]]:
@@ -189,7 +187,10 @@ def d_diag(n: int, i: int, j: int) -> list[tuple[int, int]]:
     """Diagonal entries of the diagonal form of W_{i,j} as (entry, multiplicity):
     C(j-s, i-s) with multiplicity mu_s - mu_{s-1} for s = 0..i, and zeros
     padding out the rectangular mu_i x mu_j shape."""
-    _check_d_range(n, i, j)
+    if not (0 <= i <= j and in_range(n, j)):
+        raise ParameterError(
+            f"diagonal form of W_{{{i},{j}}} needs 0 <= i <= j <= (n+1)/3, "
+            f"got n={n}, i={i}, j={j}")
     return _d_pairs(n, i, j) + [(0, mu(n, j) - mu(n, i))]
 
 
@@ -249,7 +250,7 @@ def e_matrices(n: int, k_max: int) -> list[IntMatrix]:
     conjectured to be another such family; see superstandard.)"""
     if n < 0 or k_max < 0:
         raise ParameterError("n and k_max must be nonnegative")
-    if 3 * k_max > n + 1:
+    if not in_range(n, k_max):
         raise ParameterError(
             f"the E construction needs k_max <= (n+1)/3, got n={n}, k_max={k_max}")
     size = max(mu(n, s) for s in range(k_max + 1))
@@ -346,33 +347,29 @@ def _combined_f(p: SchemeParams, coeffs: tuple[int, ...]) -> list[list[int]]:
             for i in range(p.kr + 1)]
 
 
-def _ms_block(s: int, p: SchemeParams, table: list[list[int]],
-              lam: int) -> MsMatrix:
-    data = [[binomial(j - s, i - s) * table[i][j] - (lam if i == j else 0)
-             for j in range(s, p.kc + 1)] for i in range(s, p.kr + 1)]
-    return MsMatrix(s, IntMatrix(data), block_multiplicity(p.n, s))
-
-
-def ms_matrix(s: int, p: SchemeParams, coeffs=None, lam: int = 0) -> MsMatrix:
-    """The block M_s with entries -lam*delta_{ij} + C(j-s,i-s) * sum_l b_l f_i(j),
-    indexed by s <= i <= kr, s <= j <= kc.  Upper triangular when square."""
-    coeffs = _check_coeffs(p, coeffs, lam)
-    if not 0 <= s <= p.kr:
-        raise ParameterError(f"need 0 <= s <= kr, got s={s}")
-    return _ms_block(s, p, _combined_f(p, coeffs), lam)
-
-
 def ms_matrices(p: SchemeParams, coeffs=None, lam: int = 0) -> list[MsMatrix]:
+    """The blocks M_s, entries -lam*delta_{ij} + C(j-s,i-s) * sum_l b_l f_i(j)
+    for s <= i <= kr, s <= j <= kc (upper triangular when square), s = 0..kr.
+    Refused below n = 3*kc - 1, where multiplicities can go negative."""
     coeffs = _check_coeffs(p, coeffs, lam)
-    table = _combined_f(p, coeffs)
-    return [_ms_block(s, p, table, lam) for s in range(p.kr + 1)]
-
-
-def _require_large_n(p: SchemeParams) -> None:
-    if p.n < 3 * p.kc - 1:
+    if not in_range(p.n, p.kc):
         raise ParameterError(
             f"the block reduction assumes n >= 3*kc - 1 (here n >= {3 * p.kc - 1}); "
             f"for n={p.n} use the brute-force oracle instead")
+    table = _combined_f(p, coeffs)
+    blocks = []
+    for s in range(p.kr + 1):
+        data = [[binomial(j - s, i - s) * table[i][j] - (lam if i == j else 0)
+                 for j in range(s, p.kc + 1)] for i in range(s, p.kr + 1)]
+        blocks.append(MsMatrix(s, IntMatrix(data), block_multiplicity(p.n, s)))
+    return blocks
+
+
+def ms_matrix(s: int, p: SchemeParams, coeffs=None, lam: int = 0) -> MsMatrix:
+    """The block M_s of ms_matrices."""
+    if not 0 <= s <= p.kr:
+        raise ParameterError(f"need 0 <= s <= kr, got s={s}")
+    return ms_matrices(p, coeffs, lam)[s]
 
 
 def smith_group(p: SchemeParams, coeffs=None, lam: int = 0) -> SmithGroupResult:
@@ -384,7 +381,6 @@ def smith_group(p: SchemeParams, coeffs=None, lam: int = 0) -> SmithGroupResult:
     e_matrices builds and validates one on its own.
     """
     coeffs = _check_coeffs(p, coeffs, lam)
-    _require_large_n(p)
     blocks = []
     entries: list[tuple[int, int]] = []
     used_rank = 0
@@ -412,11 +408,9 @@ def diagonal_form_entries(result: SmithGroupResult) -> list[tuple[int, int]]:
 
 
 def eigenvalues(p: SchemeParams, coeffs=None, lam: int = 0) -> list[SpectrumEntry]:
-    """Spectrum sum_l b_l f_i(i) - lam with multiplicity mu_i, i = 0..k."""
+    """Spectrum sum_l b_l f_i(i) - lam with multiplicity mu_i, i = 0..k: the
+    corner entry of each M_i."""
     if not p.square:
         raise ParameterError("eigenvalues need square parameters kr == kc")
-    coeffs = _check_coeffs(p, coeffs, lam)
-    _require_large_n(p)
-    table = _combined_f(p, coeffs)
-    return [SpectrumEntry(table[i][i] - lam, mu(p.n, i))
-            for i in range(p.kr + 1)]
+    return [SpectrumEntry(m.entries.data[0][0], mu(p.n, m.s))
+            for m in ms_matrices(p, coeffs, lam)]

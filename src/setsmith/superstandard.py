@@ -15,7 +15,7 @@ from math import comb, prod
 
 from .exact import IntMatrix, smith_normal_form, stack
 from .scheme import (ParameterError, _inclusion, _refuse_oversized, d_matrix,
-                     w_matrix)
+                     in_range, w_matrix)
 from .subsets import (STANDARD, SUPER_STANDARD, enumerate_subsets,
                       is_boundary, mu, phi)
 
@@ -85,7 +85,7 @@ def check_conjecture(n: int, i: int, j: int) -> ConjectureReport:
     snf = smith_normal_form(m)
     idx = prod(snf.invariant_factors, start=1)
     exp_rows, exp_cols = mu(n, i), mu(n, j)
-    in_hyp = 3 * i <= n + 1 and 3 * j <= n + 1
+    in_hyp = in_range(n, max(i, j))
     full_rank = snf.rank == min(m.rows, m.cols)
     square = m.rows == m.cols
     holds = (m.rows == exp_rows and m.cols == exp_cols

@@ -84,15 +84,15 @@ def test_criterion_2_oracle_sweep(capsys):
 
 
 CLOSED_FORM_SWEEP = [
-    ("johnson_k2_laplacian", range(5, 14)),
-    ("johnson_k3_laplacian", range(7, 14)),
-    ("johnson_k2_adjacency", range(5, 14)),
-    ("johnson_k3_adjacency", range(7, 14)),
-    ("kneser_k1_adjacency", range(2, 14)),
-    ("kneser_k2_adjacency", range(5, 14)),
-    ("kneser_k3_adjacency", range(8, 14)),
-    ("kneser_k2_laplacian", range(5, 14)),
-    ("kneser_k3_laplacian", range(7, 14)),
+    ("johnson_k2_laplacian", range(5, 17)),
+    ("johnson_k3_laplacian", range(7, 17)),
+    ("johnson_k2_adjacency", range(5, 17)),
+    ("johnson_k3_adjacency", range(7, 17)),
+    ("kneser_k1_adjacency", range(2, 17)),
+    ("kneser_k2_adjacency", range(5, 17)),
+    ("kneser_k3_adjacency", range(8, 17)),
+    ("kneser_k2_laplacian", range(5, 17)),
+    ("kneser_k3_laplacian", range(7, 17)),
     ("nonsquare_231", range(5, 17)),
 ]
 

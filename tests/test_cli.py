@@ -98,6 +98,12 @@ def test_eigenvalues_command(capsys):
     assert code == 0
     assert "-30 with multiplicity 154" in out
     assert "total multiplicity: 220" in out
+    code, out, _ = run(capsys, "eigenvalues", "--n", "12", "--k", "3",
+                       "--ell", "2", "--lambda", "degree", "--json")
+    assert code == 0
+    assert json.loads(out) == [
+        {"eigenvalue": e, "multiplicity": m}
+        for e, m in [(0, 1), (-12, 11), (-22, 54), (-30, 154)]]
 
 
 def test_diagonal_form_command(capsys):
@@ -107,6 +113,11 @@ def test_diagonal_form_command(capsys):
     payload = json.loads(out)
     assert payload["group"]["free_rank"] == 48
     assert {"entry": 18, "multiplicity": 1} in payload["diagonal_entries"]
+    code, out, _ = run(capsys, "diagonal-form", "--n", "9", "--kr", "2",
+                       "--kc", "3", "--ell", "1")
+    assert code == 0
+    assert "  18 x 1\n" in out and "  2 x 19\n" in out
+    assert out.endswith("smith group: (Z/2)^19 + (Z/6)^8 + Z/18 + Z^48\n")
 
 
 def test_oracle_command(capsys):
@@ -114,6 +125,24 @@ def test_oracle_command(capsys):
                        "--ell", "1", "--lambda", "degree")
     assert code == 0
     assert "agreement: True" in out
+    # the keys a cold start of `oracle --json` is read by
+    code, out, _ = run(capsys, "oracle", "--n", "8", "--k", "2",
+                       "--ell", "1", "--lambda", "degree", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["agree"] is True
+    assert payload["oracle"] == payload["structured"]
+    assert payload["oracle"]["free_rank"] == 1
+    # below n = 3*kc - 1 only the dense arm runs
+    code, out, _ = run(capsys, "oracle", "--n", "4", "--k", "2", "--ell", "1")
+    assert code == 0
+    assert out == ("brute-force group: Z/2 + Z^3\n"
+                   "structured pipeline skipped: n < 3*kc - 1\n")
+    code, out, _ = run(capsys, "oracle", "--n", "4", "--k", "2", "--ell", "1",
+                       "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["structured"] is None
+    assert payload["agree"] is None
 
 
 def test_verify_command(capsys):
@@ -123,6 +152,19 @@ def test_verify_command(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert len(lines) == 5
     assert all(rec["agreement"]["all"] for rec in lines)
+    # n = 7 is below the reduction's range for k = 3; n = 8 is in it
+    code, out, _ = run(capsys, "verify", "--theorem", "johnson_k3_laplacian",
+                       "--n-from", "7", "--n-to", "8")
+    assert code == 0
+    first, second = out.splitlines()
+    assert first.startswith("johnson_k3_laplacian n=7: ok (oracle-only) group")
+    assert second.startswith("johnson_k3_laplacian n=8: ok group")
+    # the 10 columns at n = 5 are above a cap of 5
+    code, out, _ = run(capsys, "verify", "--theorem", "kneser_k2_laplacian",
+                       "--n-from", "5", "--n-to", "5", "--cap", "5")
+    assert code == 0
+    assert out == ("kneser_k2_laplacian n=5: ok (oracle skipped) group "
+                   "Z/2 + (Z/10)^3 + Z\n")
 
 
 def test_conjecture_command_with_log(tmp_path, capsys):
@@ -136,6 +178,12 @@ def test_conjecture_command_with_log(tmp_path, capsys):
     assert {(r["n"], r["i"], r["j"]) for r in records} == {
         (n, i, j) for n in (5, 6, 7) for j in range(3) if 3 * j <= n + 1
         for i in range(j + 1)}
+    code, out, _ = run(capsys, "conjecture", "--n-min", "5", "--n-max", "7",
+                       "--k-max", "2", "--json")
+    assert code == 0
+    *lines, summary = out.splitlines()
+    assert [json.loads(line) for line in lines] == records
+    assert summary == f"checked {len(records)} cases; all hold"
 
 
 def test_export_and_snf_roundtrip(tmp_path, capsys):
@@ -201,6 +249,14 @@ def test_argument_errors_exit_2(capsys):
         main(["eigenvalues", "--n", "12", "--k", "3", "--ell", "2",
               "--lambda", "x"])
     assert err.value.code == 2
+    for argv in (["export-matrix", "--which", "W", "--n", "8", "--j", "2"],
+                 ["smith-group", "--n", "12", "--k", "3", "--ell", "1",
+                  "--coeffs", "0,1,0,0"],
+                 ["smith-group", "--n", "12", "--k", "3",
+                  "--coeffs", "0,1,x,0"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_precondition_violations_exit_1(tmp_path, capsys):
@@ -208,6 +264,13 @@ def test_precondition_violations_exit_1(tmp_path, capsys):
                        "--ell", "0")
     assert code == 1
     assert "n >= 3*kc - 1" in err
+    # every entry to the blocks refuses below the range alike
+    refusals = [run(capsys, command, "--n", "4", "--k", "2", "--ell", "1")
+                for command in ("smith-group", "ms", "eigenvalues")]
+    code, out, err = refusals[0]
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "n >= 3*kc - 1" in err
+    assert refusals[1:] == refusals[:1] * 2
     code, _, err = run(capsys, "oracle", "--n", "16", "--k", "3", "--ell", "0",
                        "--cap", "100")
     assert code == 1

@@ -11,10 +11,10 @@ from setsmith.exact import (_INT64_CEILING, _LIST_LANE_BELOW, AbelianGroup,
                             gcd_minors, group_from_diagonal, group_from_smith,
                             index, is_unimodular, smith_normal_form, stack,
                             unimodular_completion, unimodular_inverse)
-from setsmith.scheme import (SchemeParams, eigenvalues, scheme_element_matrix,
-                             smith_group)
-from setsmith.valence import (_diagonal_mod, _factor, _integer_roots,
-                              _valence_parts, valence_finish)
+from setsmith.scheme import (SchemeParams, _scheme_array, degree, eigenvalues,
+                             scheme_element_matrix, smith_group)
+from setsmith.valence import (_annihilates, _diagonal_mod, _factor,
+                              _integer_roots, _valence_parts, valence_finish)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -396,6 +396,19 @@ def test_valence_finish_refuses_a_gram_matrix_past_the_ceiling():
                              m.cols)) == want
     assert smith_normal_form(m).invariant_factors == want
     assert smith_normal_form(m.transpose()).invariant_factors == want
+
+
+def test_annihilates_rejects_a_wrong_polynomial():
+    # A(8,2,2,1) - 12 I, 28 x 28 with row sums at most 24, has minimal
+    # polynomial x (x + 8)(x + 14).  Bound 24 checks in float64, 2**20
+    # and 2**400 modulo primes; 2**600 would need more than 64 primes, so
+    # nothing is certified
+    a = _scheme_array(SchemeParams(8, 2, 2, 1), None, degree(8, 2, 1))
+    f = [0, 112, 22, 1]
+    for bound in (24, 2 ** 20, 2 ** 400):
+        assert _annihilates(a, f, bound)
+        assert not _annihilates(a, [1] + f[1:], bound)
+    assert not _annihilates(a, f, 2 ** 600)
 
 
 def _moduli():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from setsmith import exact, scheme
 from setsmith.exact import IntMatrix, is_unimodular
 from setsmith.scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
                              SizeCapExceeded, bier_p,
@@ -225,6 +226,23 @@ def test_e_matrices_construction():
         e_matrices(8, 4)
 
 
+def test_e_families_never_need_the_smith_fallback(monkeypatch):
+    # every unit-row completion in the E builds certifies on its minor, so
+    # unimodular_completion never reaches smith_normal_form's transforms
+    # (which stay for index-1 input such as [[2, 3]]); a fresh cache keeps
+    # families built by earlier tests from passing unchecked
+    snf = exact.smith_normal_form
+
+    def no_transforms(m, with_transforms=False):
+        assert not with_transforms, f"Smith-transform fallback on {m.shape()}"
+        return snf(m)
+
+    monkeypatch.setattr(exact, "smith_normal_form", no_transforms)
+    monkeypatch.setattr(scheme, "_E_CACHE", {})
+    for n in range(14):
+        assert len(e_matrices(n, (n + 1) // 3)) == (n + 1) // 3 + 1
+
+
 # sha256 of the concatenated to_text() of the recursive E_0..E_k
 E_FAMILY_SHA256 = {
     (10, 3): "1876d18cfaac5de331f1c0be947fbfbd9b8c619b6381f243d08e01e9ca6b6de1",
@@ -362,6 +380,19 @@ def test_smith_group_johnson_k2_laplacian_n6():
 def test_smith_group_refuses_small_n():
     with pytest.raises(ParameterError):
         smith_group(SchemeParams(6, 3, 3, 0))
+    # every entry to the blocks answers at n = 3*kc - 1 and refuses just
+    # below it, where block_multiplicity can go negative: at (4, 2, 2, 1)
+    # M_2 would repeat -1 times
+    assert block_multiplicity(4, 2) == -1
+    entries = [smith_group, ms_matrices, lambda p: ms_matrix(0, p),
+               lambda p: ms_matrix(p.kr, p)]
+    for kr, kc in [(1, 1), (2, 2), (3, 3), (4, 4), (1, 2), (2, 3)]:
+        answers = SchemeParams(3 * kc - 1, kr, kc, 1)
+        refused = SchemeParams(3 * kc - 2, kr, kc, 1)
+        for entry in entries + [eigenvalues] * (kr == kc):
+            entry(answers)
+            with pytest.raises(ParameterError, match="n >= 3"):
+                entry(refused)
 
 
 def test_smith_group_shift_folding_identity():

@@ -3,6 +3,9 @@ and plain-text matrix import/export.
 
 Exit codes: 0 on success, 1 when a mathematical precondition or internal
 invariant is violated (the message says which), 2 for malformed arguments.
+
+The commands that use the oracle or the super-standard construction import
+it themselves, so that the block-reduction commands start without it.
 """
 
 from __future__ import annotations
@@ -12,11 +15,9 @@ import json
 import sys
 
 from .exact import ConstructionError, ExactError, IntMatrix, smith_normal_form
-from .oracle import THEOREMS, bench, brute_force_group, verify_closed_form
 from .scheme import (DEFAULT_CAP, SchemeParams, degree, diagonal_form_entries,
                      e_matrices, eigenvalues, in_range, intersection_matrix,
                      ms_matrices, bier_p, smith_group, unit_coeffs, w_matrix)
-from .superstandard import check_conjecture, p_tilde
 
 
 def _parse_lambda(args, parser) -> int:
@@ -129,6 +130,7 @@ def cmd_eigenvalues(args, parser) -> int:
 
 
 def cmd_oracle(args, parser) -> int:
+    from .oracle import brute_force_group
     p, coeffs, lam = _resolve_inputs(args, parser)
     group = brute_force_group(p, coeffs, lam, cap=args.cap)
     structured = None
@@ -154,6 +156,7 @@ def cmd_oracle(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    from .oracle import THEOREMS, verify_closed_form
     cf = THEOREMS.get(args.theorem)
     if cf is None:
         parser.error(f"unknown theorem {args.theorem!r}; "
@@ -186,10 +189,14 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_conjecture(args, parser) -> int:
+    from .superstandard import check_conjecture
     triples = [(n, i, j)
                for n in range(args.n_min, args.n_max + 1)
                for j in range(0, args.k_max + 1) if in_range(n, j)
                for i in range(0, j + 1)]
+    if not triples:
+        parser.error("the sweep holds no case: it needs --n-max >= --n-min, "
+                     "--k-max >= 0 and n >= 3k - 1 for some n and k in it")
     reports = [check_conjecture(*t) for t in triples]
     log_lines = []
     all_hold = True
@@ -206,8 +213,10 @@ def cmd_conjecture(args, parser) -> int:
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
             fh.write("\n".join(log_lines) + "\n")
+    # with --json, stdout holds only the records (JSON Lines)
     print(f"checked {len(reports)} cases; "
-          f"{'all hold' if all_hold else 'FAILURES found'}")
+          f"{'all hold' if all_hold else 'FAILURES found'}",
+          file=sys.stderr if args.json else sys.stdout)
     return 0 if all_hold else 1
 
 
@@ -227,6 +236,7 @@ def cmd_export_matrix(args, parser) -> int:
     elif which == "E":
         m = e_matrices(args.n, args.s)[args.s]
     else:
+        from .superstandard import p_tilde
         m = p_tilde(args.n, args.i, args.j)
     text = m.to_text()
     if args.out:
@@ -254,6 +264,7 @@ def cmd_snf(args, parser) -> int:
 
 
 def cmd_bench(args, parser) -> int:
+    from .oracle import bench
     p, coeffs, lam = _resolve_inputs(args, parser)
     report = bench(p, coeffs, lam, repeats=args.repeats, cap=args.cap)
     print(json.dumps(report.to_json_dict()))

@@ -11,15 +11,23 @@ it is not square, and checks its minimal polynomial exactly.  A matrix
 the valence lane refuses is reduced on the list lane.  Transforms are
 always computed on the list lane.  Matrix products take int64 only when
 no dot product can overflow.
+
+numpy and setsmith.valence load on first dense use: only the functions
+that build or reduce an array import them, so the block reduction, group
+assembly and JSON output run without either.  Importing numpy takes
+hundreds of times as long as a block query.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import gcd, prod
 from itertools import combinations, groupby
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # The valence lane takes int64 input with every entry below this, so that
 # every entry and its absolute value fit, and refuses a non-square r x c
@@ -56,7 +64,10 @@ class IntMatrix:
 
     def __init__(self, data, row_labels=None, col_labels=None,
                  cols: int | None = None):
-        if isinstance(data, np.ndarray):
+        # no array can exist before numpy is loaded
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(data, np.ndarray):
+            data = _integer_array(data)
             rows, cols = data.shape
             data = data.tolist()
         else:
@@ -140,6 +151,7 @@ class IntMatrix:
         ma, mb = self.max_abs(), other.max_abs()
         if not (ma and mb):
             return IntMatrix.zeros(self.rows, other.cols)
+        import numpy as np
         dtype = np.int64 if self.cols * ma * mb < (1 << 62) else object
         a = np.array(self.data, dtype=dtype)
         return IntMatrix(a @ np.array(other.data, dtype=dtype))
@@ -190,6 +202,19 @@ class IntMatrix:
         if rows == 0:
             return cls.zeros(0, cols)
         return cls(data)
+
+
+def _integer_array(a: np.ndarray) -> np.ndarray:
+    """a, if its dtype is a 64-bit integer or object (Python ints); a bool
+    or narrower integer array as int64, which the valence lane takes.  Any
+    other dtype is refused: a float or complex entry need not be an
+    integer, and the reduction does no rounding."""
+    kind = a.dtype.kind
+    if kind not in "biuO":
+        raise ExactError(f"expected an integer array, got dtype {a.dtype}")
+    if kind != "O" and a.dtype.itemsize < 8:
+        return a.astype("int64")
+    return a
 
 
 def stack(parts) -> IntMatrix:
@@ -357,22 +382,23 @@ def _mix_pair(a: list[list[int]], i: int, j: int, di: int, dj: int) -> None:
 def _diagonal_values(m: IntMatrix | np.ndarray) -> list[int]:
     """Positive diagonal values of some diagonal form of m (no chain yet).
 
-    m is an IntMatrix, or an int64 or object (Python int) numpy array.
-    Matrices with fewer than _LIST_LANE_BELOW rows or columns (an IntMatrix
-    of them never touches numpy), and those with an entry at or above
-    _INT64_CEILING, go to the list lane.  Any other one goes to the
-    valence lane (valence.valence_finish), and one it refuses goes to the
-    list lane too.
+    m is an IntMatrix, or a numpy array of an integer dtype (see
+    _integer_array).  Matrices with fewer than _LIST_LANE_BELOW rows or
+    columns, and those with an entry at or above _INT64_CEILING, go to the
+    list lane.  Any other int64 one goes to the valence lane
+    (valence.valence_finish), and one it refuses goes to the list lane too.
     """
     if isinstance(m, IntMatrix):
         if (min(m.rows, m.cols) < _LIST_LANE_BELOW
                 or m.max_abs() >= _INT64_CEILING):
             return _eliminate([list(row) for row in m.data], m.rows, m.cols)
+        # numpy and valence load on first dense use (module docstring)
+        import numpy as np
         m = np.array(m.data, dtype=np.int64)
-    if (m.dtype == np.int64 and min(m.shape) >= _LIST_LANE_BELOW
-            and np.abs(m).max() < _INT64_CEILING):
-        # imported on first use: a cold start compiles every module it
-        # imports, and only dense matrices get here
+    else:
+        m = _integer_array(m)
+    if (m.dtype == "int64" and min(m.shape) >= _LIST_LANE_BELOW
+            and abs(m).max() < _INT64_CEILING):
         from .valence import valence_finish
         diag = valence_finish(m)
         if diag is not None:
@@ -487,6 +513,7 @@ def _last_nonzero_columns(m: IntMatrix) -> list[int] | None:
     """The columns, ascending, that hold the last nonzero of some vector in
     the row space of m modulo 2**31 - 1; None if the rows are dependent
     there.  One elimination, scanning the columns from last to first."""
+    import numpy as np
     p = (1 << 31) - 1
     a = np.array([[x % p for x in row] for row in m.data],
                  dtype=np.int64).reshape(m.rows, m.cols)

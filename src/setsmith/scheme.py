@@ -14,13 +14,15 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from math import comb, prod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact import (_INT64_CEILING, AbelianGroup, ConstructionError,
                     ExactError, IntMatrix, group_from_diagonal,
                     smith_normal_form, unimodular_completion)
 from .subsets import STANDARD, binomial, enumerate_subsets, mu
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ParameterError(ExactError):
@@ -84,6 +86,7 @@ def _meets(rows, cols) -> np.ndarray:
     as int16: the rows of a 0/1 membership table (element x column) summed
     over the elements of a.  Shorter rows are padded with 0, whose row in
     the table is zero."""
+    import numpy as np
     width = max(map(len, rows), default=0)
     r = np.array([a + (0,) * (width - len(a)) for a in rows], dtype=np.intp)
     top = max((s[-1] for s in (*rows, *cols) if s), default=0)
@@ -102,6 +105,7 @@ def _scheme_array(p: SchemeParams, coeffs=None, lam: int = 0,
     when max|b_l| + |lam| < 2**62, so that every entry is below 2**62, and
     otherwise dtype object, holding exact Python ints.  Refuses with
     SizeCapExceeded, before enumerating, a side above cap."""
+    import numpy as np
     coeffs = _check_coeffs(p, coeffs, lam)
     rows = comb(p.n, p.kr)
     _refuse_oversized(f"sum_l b_l A({p.n},{p.kr},{p.kc},l)", rows,
@@ -129,6 +133,7 @@ def scheme_element_matrix(p: SchemeParams, coeffs=None, lam: int = 0) -> IntMatr
 
 def _inclusion(rows, cols) -> IntMatrix:
     """Labelled 0/1 matrix, 1 where the row subset is inside the column one."""
+    import numpy as np
     inside = _meets(rows, cols) == np.array([len(a) for a in rows])[:, None]
     return IntMatrix(inside.astype(np.int64), row_labels=rows, col_labels=cols)
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -178,12 +182,12 @@ def test_conjecture_command_with_log(tmp_path, capsys):
     assert {(r["n"], r["i"], r["j"]) for r in records} == {
         (n, i, j) for n in (5, 6, 7) for j in range(3) if 3 * j <= n + 1
         for i in range(j + 1)}
-    code, out, _ = run(capsys, "conjecture", "--n-min", "5", "--n-max", "7",
-                       "--k-max", "2", "--json")
+    code, out, err = run(capsys, "conjecture", "--n-min", "5", "--n-max", "7",
+                         "--k-max", "2", "--json")
     assert code == 0
-    *lines, summary = out.splitlines()
-    assert [json.loads(line) for line in lines] == records
-    assert summary == f"checked {len(records)} cases; all hold"
+    # stdout is JSON Lines; the summary goes to stderr
+    assert [json.loads(line) for line in out.splitlines()] == records
+    assert err == f"checked {len(records)} cases; all hold\n"
 
 
 def test_export_and_snf_roundtrip(tmp_path, capsys):
@@ -253,10 +257,59 @@ def test_argument_errors_exit_2(capsys):
                  ["smith-group", "--n", "12", "--k", "3", "--ell", "1",
                   "--coeffs", "0,1,0,0"],
                  ["smith-group", "--n", "12", "--k", "3",
-                  "--coeffs", "0,1,x,0"]):
+                  "--coeffs", "0,1,x,0"],
+                 # an empty conjecture sweep
+                 ["conjecture", "--n-min", "5", "--n-max", "4", "--k-max", "1"],
+                 ["conjecture", "--n-max", "6", "--k-max", "-1"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+# Runs each step in turn in one fresh interpreter (pytest's own process has
+# numpy loaded already) and prints, after each, whether numpy and the
+# valence lane are loaded.
+_LOADED_AFTER_EACH = """
+import io, json, sys
+from contextlib import redirect_stdout
+from setsmith.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        if argv == ["library"]:
+            from setsmith import SchemeParams, smith_group
+            smith_group(SchemeParams(10, 3, 3, 1), lam=2).group.to_json_dict()
+        elif main(argv):
+            sys.exit(f"{argv} failed")
+    loaded.append([m in sys.modules for m in ("numpy", "setsmith.valence")])
+print(json.dumps(loaded))
+"""
+
+
+def test_block_commands_load_neither_numpy_nor_valence(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("3 3\n2 4 4\n-6 6 12\n10 -4 -16\n")
+    steps = [
+        ["library"],
+        ["smith-group", "--n", "10", "--k", "3", "--coeffs", "5,-7,9,11",
+         "--lambda", "3", "--json"],
+        ["diagonal-form", "--n", "10", "--kr", "2", "--kc", "3", "--ell", "1"],
+        ["ms", "--n", "12", "--k", "3", "--ell", "2"],
+        ["eigenvalues", "--n", "12", "--k", "3", "--ell", "2"],
+        ["snf", "--in", str(path)],
+        # the dense oracle loads numpy: the control
+        ["oracle", "--n", "8", "--k", "2", "--ell", "1"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_EACH,
+                           json.dumps(steps)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded[:-1] == [[False, False]] * (len(steps) - 1)
+    assert loaded[-1][0]
 
 
 def test_precondition_violations_exit_1(tmp_path, capsys):

@@ -448,6 +448,30 @@ def test_diagonal_mod_gives_the_gcds_of_the_invariant_factors(rows, cols, mod,
     assert got == tuple(want)
 
 
+def test_array_entry_points_take_integer_dtypes_only(monkeypatch):
+    floats = np.array([[2.5, 0], [0, 3.0]])
+    with pytest.raises(ExactError, match="integer array"):
+        smith_normal_form(floats)
+    with pytest.raises(ExactError, match="integer array"):
+        IntMatrix(np.array([[0.5, 1.0]]))
+    # bool and unsigned entries come out as Python ints
+    snf = smith_normal_form(np.array([[True, False], [False, True]]))
+    assert snf.invariant_factors == (1, 1)
+    assert all(type(d) is int for d in snf.invariant_factors)
+    m = IntMatrix(np.array([[True, False], [True, True]]))
+    assert m.data == [[1, 0], [1, 1]] and type(m.data[0][0]) is int
+    assert IntMatrix(np.array([[2**64 - 1]], dtype=np.uint64)).data == [[2**64 - 1]]
+    small = np.array([[2, 4], [6, 9]], dtype=np.int32)
+    assert smith_normal_form(small).invariant_factors == (1, 6)
+    assert IntMatrix(small).data == [[2, 4], [6, 9]]
+    # a narrow integer array is widened to int64 for the valence lane
+    offered = _int64_lane_offers(monkeypatch)
+    wide = rand_matrix(random.Random(3), _LIST_LANE_BELOW, _LIST_LANE_BELOW)
+    got = smith_normal_form(np.array(wide.data, dtype=np.int32))
+    assert offered == [wide.data]
+    assert got == smith_normal_form(wide)
+
+
 def test_snf_big_entries_exact_lane():
     # entries far beyond int64 force the arbitrary-precision path
     big = 10 ** 30

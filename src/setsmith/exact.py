@@ -9,8 +9,8 @@ handed over as int64 arrays) goes to the valence lane
 moduli bounded by the valence of the matrix, or of its Gram matrix when
 it is not square, and checks its minimal polynomial exactly.  A matrix
 the valence lane refuses is reduced on the list lane.  Transforms are
-always computed on the list lane.  Matrix products take int64 only when
-no dot product can overflow.
+always computed on the list lane.  Matrix products take float64 or int64
+only when no partial sum can be rounded or overflow.
 
 numpy and setsmith.valence load on first dense use: only the functions
 that build or reduce an array import them, so the block reduction, group
@@ -21,10 +21,9 @@ hundreds of times as long as a block query.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from math import gcd, prod
 from itertools import combinations, groupby
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -143,18 +142,7 @@ class IntMatrix:
                          cols=self.cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ExactError("shape mismatch in product")
-        # a factor with no nonzero entry (or no entries) gives zeros; int64
-        # products are exact as long as no dot product can reach 2**62, and
-        # past that numpy multiplies Python ints (dtype object)
-        ma, mb = self.max_abs(), other.max_abs()
-        if not (ma and mb):
-            return IntMatrix.zeros(self.rows, other.cols)
-        import numpy as np
-        dtype = np.int64 if self.cols * ma * mb < (1 << 62) else object
-        a = np.array(self.data, dtype=dtype)
-        return IntMatrix(a @ np.array(other.data, dtype=dtype))
+        return IntMatrix(_product(self, other))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
@@ -205,16 +193,44 @@ class IntMatrix:
 
 
 def _integer_array(a: np.ndarray) -> np.ndarray:
-    """a, if its dtype is a 64-bit integer or object (Python ints); a bool
-    or narrower integer array as int64, which the valence lane takes.  Any
-    other dtype is refused: a float or complex entry need not be an
+    """a, if its dtype is a 64-bit integer, or object holding Python ints; a
+    bool or narrower integer array as int64, which the valence lane takes;
+    an object array of bools and numpy integers as one of Python ints.  Any
+    other array is refused: a float or complex entry need not be an
     integer, and the reduction does no rounding."""
     kind = a.dtype.kind
     if kind not in "biuO":
         raise ExactError(f"expected an integer array, got dtype {a.dtype}")
-    if kind != "O" and a.dtype.itemsize < 8:
-        return a.astype("int64")
-    return a
+    if kind != "O":
+        return a.astype("int64") if a.dtype.itemsize < 8 else a
+    entries = a.ravel().tolist()
+    if all(type(v) is int for v in entries):
+        return a
+    np = sys.modules["numpy"]
+    for v in entries:
+        if not isinstance(v, (int, np.integer)):
+            raise ExactError("expected an integer array, got an object array "
+                             f"holding {type(v).__name__}")
+    return np.array([int(v) for v in entries], dtype=object).reshape(a.shape)
+
+
+def _product(a: IntMatrix, b: IntMatrix) -> np.ndarray:
+    """a @ b as an exact integer array.  cols * max|a| * max|b| bounds every
+    partial sum of every dot product: below 2**53 they are all integers
+    that float64 holds exactly, so BLAS multiplies (numpy's int64 product
+    has no BLAS); below 2**62 the product is int64, and past that numpy
+    multiplies Python ints (dtype object)."""
+    if a.cols != b.rows:
+        raise ExactError("shape mismatch in product")
+    import numpy as np
+    bound = a.cols * a.max_abs() * b.max_abs()
+    if not bound:  # a factor with no nonzero entry, or no entries
+        return np.zeros((a.rows, b.cols), dtype=np.int64)
+    if bound < 1 << 53:
+        return (np.array(a.data, dtype=np.float64)
+                @ np.array(b.data, dtype=np.float64)).astype(np.int64)
+    dtype = np.int64 if bound < _INT64_CEILING else object
+    return np.array(a.data, dtype=dtype) @ np.array(b.data, dtype=dtype)
 
 
 def stack(parts) -> IntMatrix:
@@ -241,8 +257,7 @@ def stack(parts) -> IntMatrix:
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """Invariant factors d_1 | d_2 | ... | d_r plus optional transforms.
 
     When transforms are present, left @ M @ right equals the diagonal
@@ -578,8 +593,12 @@ def unimodular_completion(m: IntMatrix) -> IntMatrix:
 _JSON_FACTOR_CAP = 10 ** 7
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class _AbelianGroupFields(NamedTuple):
+    runs: tuple[tuple[int, int], ...] = ()
+    free_rank: int = 0
+
+
+class AbelianGroup(_AbelianGroupFields):
     """Canonical form: runs (d, m) of m invariant factors equal to d, with
     the d > 1 strictly increasing in a divisibility chain, and a free rank.
 
@@ -587,12 +606,10 @@ class AbelianGroup:
     the same at any multiplicity.
     """
 
-    runs: tuple[tuple[int, int], ...] = ()
-    free_rank: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        runs = tuple((d, m) for d, m in self.runs)
-        object.__setattr__(self, "runs", runs)
+    def __new__(cls, runs=(), free_rank=0):
+        runs = tuple((d, m) for d, m in runs)
         if any(d <= 1 for d, _ in runs):
             raise ExactError("invariant factors must all exceed 1")
         if any(m < 1 for _, m in runs):
@@ -600,8 +617,13 @@ class AbelianGroup:
         if any(b == a or b % a for (a, _), (b, _) in zip(runs, runs[1:])):
             raise ExactError("run values must strictly increase in a "
                              "divisibility chain")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ExactError("free rank must be nonnegative")
+        return super().__new__(cls, runs, free_rank)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     def _factor_list(self) -> list[int]:
         out: list[int] = []

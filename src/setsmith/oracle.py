@@ -10,8 +10,8 @@ against.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import comb, gcd
+from typing import NamedTuple
 
 from .exact import AbelianGroup, ExactError, group_from_diagonal, \
     group_from_smith, smith_normal_form
@@ -147,8 +147,7 @@ def _nonsquare_231(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     theorem_id: str
     description: str
     min_n: int
@@ -215,8 +214,7 @@ def closed_form_group(theorem_id: str, n: int) -> AbelianGroup:
     return group_from_diagonal(entries + [(0, pad)])
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     theorem_id: str
     n: int
     structured: AbelianGroup | None
@@ -283,8 +281,7 @@ def verify_closed_form(theorem_id: str, n: int,
         timings)
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(NamedTuple):
     params: SchemeParams
     coeffs: tuple[int, ...]
     lam: int

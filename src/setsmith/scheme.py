@@ -12,12 +12,11 @@ with explicit multiplicities, assemble the Smith group of the full matrix.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from math import comb, prod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import (_INT64_CEILING, AbelianGroup, ConstructionError,
-                    ExactError, IntMatrix, group_from_diagonal,
+                    ExactError, IntMatrix, _product, group_from_diagonal,
                     smith_normal_form, unimodular_completion)
 from .subsets import STANDARD, binomial, enumerate_subsets, mu
 
@@ -47,20 +46,29 @@ def _refuse_oversized(what: str, rows: int, cols: int,
             "rows or columns")
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    """Parameters (n, kr, kc, ell): rows are kr-subsets of {1..n}, columns
-    kc-subsets, incidence means intersection of size exactly ell."""
-
+class _SchemeParamsFields(NamedTuple):
     n: int
     kr: int
     kc: int
     ell: int
 
-    def __post_init__(self):
-        if not (0 <= self.ell <= self.kr <= self.kc <= self.n):
+
+class SchemeParams(_SchemeParamsFields):
+    """Parameters (n, kr, kc, ell): rows are kr-subsets of {1..n}, columns
+    kc-subsets, incidence means intersection of size exactly ell."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, kr, kc, ell):
+        self = super().__new__(cls, n, kr, kc, ell)
+        if not (0 <= ell <= kr <= kc <= n):
             raise ParameterError(
                 f"need 0 <= ell <= kr <= kc <= n, got {self}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     @property
     def square(self) -> bool:
@@ -233,19 +241,16 @@ _E_LOCK = threading.Lock()
 
 
 def _extend_recursive(n: int, es: list[IntMatrix], k_max: int) -> None:
+    import numpy as np
     while len(es) <= k_max:
         s = len(es) - 1
-        ew = es[s] @ w_matrix(n, s, s + 1)
-        dp = d_prime_entries(n, s, s + 1)
-        rows = []
-        for d, row in zip(dp, ew.data):
-            if any(v % d for v in row):
-                raise ConstructionError(
-                    f"row scaling of E_{s} W_{{{s},{s + 1}}} is not exact "
-                    f"at n={n}; the diagonalization guarantee is violated")
-            rows.append([v // d for v in row])
-        eprime = IntMatrix(rows) if rows else IntMatrix.zeros(0, mu(n, s + 1))
-        es.append(unimodular_completion(eprime))
+        ew = _product(es[s], w_matrix(n, s, s + 1))
+        d = np.array(d_prime_entries(n, s, s + 1), dtype=ew.dtype)[:, None]
+        if (ew % d).any():
+            raise ConstructionError(
+                f"row scaling of E_{s} W_{{{s},{s + 1}}} is not exact "
+                f"at n={n}; the diagonalization guarantee is violated")
+        es.append(unimodular_completion(IntMatrix(ew // d)))
 
 
 def e_matrices(n: int, k_max: int) -> list[IntMatrix]:
@@ -286,8 +291,7 @@ def triangular_check(p: SchemeParams) -> bool:
 # The M_s blocks and Smith group assembly
 
 
-@dataclass(frozen=True)
-class MsMatrix:
+class MsMatrix(NamedTuple):
     """One reduced block: its index s, the (kr-s+1) x (kc-s+1) matrix, and
     how many times its diagonal form repeats in the full diagonal form."""
 
@@ -296,14 +300,12 @@ class MsMatrix:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     eigenvalue: int
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(NamedTuple):
     s: int
     matrix: IntMatrix
     multiplicity: int
@@ -311,8 +313,7 @@ class BlockReport:
     rank: int
 
 
-@dataclass(frozen=True)
-class SmithGroupResult:
+class SmithGroupResult(NamedTuple):
     params: SchemeParams
     coeffs: tuple[int, ...]
     lam: int

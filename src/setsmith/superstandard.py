@@ -10,8 +10,8 @@ square p_tilde(n, s, s) are a second family of E matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, prod
+from typing import NamedTuple
 
 from .exact import IntMatrix, smith_normal_form, stack
 from .scheme import (ParameterError, _inclusion, _refuse_oversized, d_matrix,
@@ -46,8 +46,7 @@ def p_tilde(n: int, i: int, j: int) -> IntMatrix:
     return stack([w_tilde(n, s, j) for s in range(i + 1)])
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Measured shape/rank/index of one stacked matrix versus the conjecture."""
 
     n: int
@@ -111,8 +110,7 @@ def check_simpler_lemma(n: int, i: int, j: int) -> bool:
     return pii @ w_matrix(n, i, j) == d_matrix(n, i, j) @ pjj
 
 
-@dataclass(frozen=True)
-class BoundarySplit:
+class BoundarySplit(NamedTuple):
     """p_tilde(n, i, j) permuted into boundary-first order, plus the two
     structural checks that make the inductive decomposition work."""
 

@@ -281,12 +281,15 @@ for argv in json.loads(sys.argv[1]):
             smith_group(SchemeParams(10, 3, 3, 1), lam=2).group.to_json_dict()
         elif main(argv):
             sys.exit(f"{argv} failed")
-    loaded.append([m in sys.modules for m in ("numpy", "setsmith.valence")])
+    loaded.append([m in sys.modules
+                   for m in ("numpy", "setsmith.valence", "dataclasses")])
 print(json.dumps(loaded))
 """
 
 
 def test_block_commands_load_neither_numpy_nor_valence(tmp_path):
+    # nor dataclasses, whose import (inspect, ast, dis) costs more than a
+    # block query
     path = tmp_path / "m.txt"
     path.write_text("3 3\n2 4 4\n-6 6 12\n10 -4 -16\n")
     steps = [
@@ -308,8 +311,8 @@ def test_block_commands_load_neither_numpy_nor_valence(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert loaded[:-1] == [[False, False]] * (len(steps) - 1)
-    assert loaded[-1][0]
+    assert loaded[:-1] == [[False, False, False]] * (len(steps) - 1)
+    assert loaded[-1][0] and not loaded[-1][2]
 
 
 def test_precondition_violations_exit_1(tmp_path, capsys):

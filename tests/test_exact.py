@@ -1,5 +1,5 @@
 import random
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -461,6 +461,17 @@ def test_array_entry_points_take_integer_dtypes_only(monkeypatch):
     m = IntMatrix(np.array([[True, False], [True, True]]))
     assert m.data == [[1, 0], [1, 1]] and type(m.data[0][0]) is int
     assert IntMatrix(np.array([[2**64 - 1]], dtype=np.uint64)).data == [[2**64 - 1]]
+    # an object array holds integers only; bools and numpy integers become ints
+    for held in (1.5, 2.0, "2", None):
+        for entry_point in (IntMatrix, smith_normal_form):
+            with pytest.raises(ExactError, match="integer array"):
+                entry_point(np.array([[held, 2]], dtype=object))
+    mixed = np.array([[True, np.int32(-4)], [np.uint64(2**64 - 1), 2**70]],
+                     dtype=object)
+    m = IntMatrix(mixed)
+    assert m.data == [[1, -4], [2**64 - 1, 2**70]]
+    assert all(type(v) is int for row in m.data for v in row)
+    assert smith_normal_form(mixed) == smith_normal_form(m)
     small = np.array([[2, 4], [6, 9]], dtype=np.int32)
     assert smith_normal_form(small).invariant_factors == (1, 6)
     assert IntMatrix(small).data == [[2, 4], [6, 9]]
@@ -678,3 +689,15 @@ def test_matmul_matches_reference():
     big = IntMatrix([[10 ** 20, 1]])
     other = IntMatrix([[10 ** 20], [1]])
     assert (big @ other).data == [[10 ** 40 + 1]]
+    # cols * max|a| * max|b| picks the lane: float64 below 2**53, int64
+    # below 2**62, Python ints past it.  x * x + 1 is odd and past 2**53,
+    # where float64 rounds it; 2 * y * y is past 2**63, where int64 wraps.
+    x, y = isqrt(1 << 53) + 1, isqrt(1 << 63)
+    for a, b in (([[x, 1]], [[x], [1]]), ([[y, y]], [[y], [y]])):
+        got = (IntMatrix(a) @ IntMatrix(b)).data
+        assert got == [[a[0][0] * b[0][0] + a[0][1] * b[1][0]]]
+        assert type(got[0][0]) is int
+    a = rand_matrix(rng, 30, 40, -2**20, 2**20)
+    b = rand_matrix(rng, 40, 30, -2**20, 2**20)
+    assert (a @ b).data == [[sum(u * v for u, v in zip(row, col))
+                             for col in zip(*b.data)] for row in a.data]

@@ -18,10 +18,13 @@ from setsmith.scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
                              ms_matrices, ms_matrix, scheme_element_matrix,
                              smith_group, triangular_check, w_matrix)
 from setsmith.scheme import _combined_f, _scheme_array
-from setsmith.exact import _coprime_base, group_from_diagonal
-from setsmith.oracle import brute_force_group
+from setsmith.exact import (AbelianGroup, ExactError, _coprime_base,
+                            group_from_diagonal, smith_normal_form)
+from setsmith.oracle import (THEOREMS, bench, brute_force_group,
+                             verify_closed_form)
 from setsmith.subsets import mu
-from setsmith.superstandard import p_tilde, w_tilde
+from setsmith.superstandard import (boundary_interior_split, check_conjecture,
+                                    p_tilde, w_tilde)
 
 
 def test_params_validation():
@@ -32,6 +35,43 @@ def test_params_validation():
         SchemeParams(5, 2, 2, 3)
     with pytest.raises(ParameterError):
         SchemeParams(3, 2, 4, 0)
+
+
+def test_records_are_immutable_and_check_their_fields():
+    p = SchemeParams(8, 2, 2, 1)
+    result = smith_group(p, lam=3)
+    records = [smith_normal_form(IntMatrix([[2, 4]])), result.group, p,
+               ms_matrices(p)[0], eigenvalues(p)[0], result.blocks[0], result,
+               THEOREMS["johnson_k2_laplacian"],
+               verify_closed_form("johnson_k2_laplacian", 6), bench(p),
+               check_conjecture(8, 2, 2), boundary_interior_split(6, 1, 2)]
+    assert len({type(r) for r in records}) == 12
+    for record in records:
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    # a record is a tuple of its fields
+    assert p == (8, 2, 2, 1) and hash(p) == hash((8, 2, 2, 1))
+    # SchemeParams and AbelianGroup check their fields however they are built
+    bad = "need 0 <= ell <= kr <= kc <= n, got SchemeParams(n=5, kr=3, kc=2, ell=0)"
+    for make in (lambda: SchemeParams(5, 3, 2, 0),
+                 lambda: SchemeParams(n=5, kr=3, kc=2, ell=0),
+                 lambda: SchemeParams(5, 2, 2, 0)._replace(kr=3)):
+        with pytest.raises(ParameterError) as info:
+            make()
+        assert str(info.value) == bad
+    for runs, free_rank, message in (
+            (((1, 2),), 0, "invariant factors must all exceed 1"),
+            (((2, 0),), 0, "run lengths must be positive"),
+            (((2, 1), (3, 1)), 0, "strictly increase in a divisibility chain"),
+            ((), -1, "free rank must be nonnegative")):
+        for make in (lambda: AbelianGroup(runs, free_rank),
+                     lambda: AbelianGroup(runs=runs, free_rank=free_rank),
+                     lambda: AbelianGroup()._replace(runs=runs,
+                                                     free_rank=free_rank)):
+            with pytest.raises(ExactError, match=message):
+                make()
+    assert AbelianGroup([[2, 1]], free_rank=1) == AbelianGroup(((2, 1),), 1)
 
 
 def test_degree():
@@ -241,6 +281,21 @@ def test_e_families_never_need_the_smith_fallback(monkeypatch):
     monkeypatch.setattr(scheme, "_E_CACHE", {})
     for n in range(14):
         assert len(e_matrices(n, (n + 1) // 3)) == (n + 1) // 3 + 1
+
+
+def test_e_build_refuses_an_inexact_row_scaling(monkeypatch):
+    # a wrong scale on the last row of E_1 W_{1,2} must not pass as exact
+    scales = scheme.d_prime_entries
+
+    def doubled_last(n, i, j):
+        out = scales(n, i, j)
+        return out[:-1] + [2 * out[-1]] if i == 1 else out
+
+    monkeypatch.setattr(scheme, "d_prime_entries", doubled_last)
+    monkeypatch.setattr(scheme, "_E_CACHE", {})
+    assert len(e_matrices(10, 1)) == 2
+    with pytest.raises(exact.ConstructionError, match=r"E_1 W_\{1,2\}"):
+        e_matrices(10, 2)
 
 
 # sha256 of the concatenated to_text() of the recursive E_0..E_k

@@ -2,29 +2,31 @@
 matrices and of integer combinations of them."""
 
 from .exact import (AbelianGroup, ConstructionError, ExactError, IntMatrix,
-                    SmithForm, gcd_minors, group_from_diagonal,
-                    group_from_smith, index, is_unimodular,
-                    smith_normal_form, stack, unimodular_completion,
-                    unimodular_inverse)
+                    SmithForm, group_from_diagonal, group_from_smith,
+                    smith_normal_form, stack)
 from .scheme import (DEFAULT_CAP, MsMatrix, ParameterError, SchemeParams,
-                     SizeCapExceeded, SmithGroupResult, SpectrumEntry, bier_p,
-                     block_multiplicity, c_coeff, d_diag, d_matrix, d_product,
-                     degree, diagonal_form_entries, e_matrices, eigenvalues,
-                     f_coeff, intersection_matrix, ms_matrices, ms_matrix,
-                     scheme_element_matrix, smith_group, triangular_check,
-                     unit_coeffs, w_matrix)
+                     SizeCapExceeded, SmithGroupResult, SpectrumEntry,
+                     block_multiplicity, c_coeff, degree,
+                     diagonal_form_entries, eigenvalues, ms_matrices,
+                     ms_matrix, smith_group, unit_coeffs)
 from .subsets import (STANDARD, SUPER_STANDARD, UNRESTRICTED, binomial,
                       enumerate_subsets, is_boundary, is_standard,
                       is_super_standard, mu, phi, phi_inverse)
 
 __version__ = "0.1.0"
 
-# The oracle and the super-standard construction load on first use of one
-# of their names (PEP 562): the block reduction needs neither.
+# The dense oracle, the proof objects and the super-standard construction
+# load on first use of one of their names (PEP 562): the block reduction
+# needs none of them.
 _LAZY = {
     "oracle": ("BenchReport", "THEOREMS", "VerificationReport", "bench",
                "brute_force_group", "closed_form_entries",
-               "closed_form_group", "verify_closed_form"),
+               "closed_form_group", "intersection_matrix",
+               "scheme_element_matrix", "verify_closed_form"),
+    "proof": ("bier_p", "d_diag", "d_matrix", "d_product", "e_matrices",
+              "f_coeff", "gcd_minors", "index", "is_unimodular",
+              "triangular_check", "unimodular_completion",
+              "unimodular_inverse", "w_matrix"),
     "superstandard": ("BoundarySplit", "ConjectureReport",
                       "boundary_interior_split", "check_conjecture",
                       "check_simpler_lemma", "p_tilde",

@@ -4,8 +4,10 @@ and plain-text matrix import/export.
 Exit codes: 0 on success, 1 when a mathematical precondition or internal
 invariant is violated (the message says which), 2 for malformed arguments.
 
-The commands that use the oracle or the super-standard construction import
-it themselves, so that the block-reduction commands start without it.
+The handlers of oracle, verify, conjecture, export-matrix and bench are in
+setsmith.commands, which main() imports only when one of them runs, so
+the block-reduction commands start without compiling it, the oracle, the
+proof objects or the super-standard construction.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import sys
 
 from .exact import ConstructionError, ExactError, IntMatrix, smith_normal_form
 from .scheme import (DEFAULT_CAP, SchemeParams, degree, diagonal_form_entries,
-                     e_matrices, eigenvalues, in_range, intersection_matrix,
-                     ms_matrices, bier_p, smith_group, unit_coeffs, w_matrix)
+                     eigenvalues, ms_matrices, smith_group, unit_coeffs)
 
 
 def _parse_lambda(args, parser) -> int:
@@ -33,7 +34,8 @@ def _parse_lambda(args, parser) -> int:
 
 
 def _resolve_inputs(args, parser) -> tuple[SchemeParams, tuple[int, ...], int]:
-    """Turn --ell/--coeffs/--lambda flags into (params, coeffs, lam)."""
+    """Turn --ell/--coeffs/--lambda flags into (params, coeffs, lam), which
+    main() stores as args.element for the command."""
     n, k = args.n, args.k
     if args.coeffs is not None and args.ell is not None:
         parser.error("--ell and --coeffs are mutually exclusive")
@@ -52,6 +54,14 @@ def _resolve_inputs(args, parser) -> tuple[SchemeParams, tuple[int, ...], int]:
             parser.error(f"--coeffs needs {k + 1} entries b0..b{k}")
         p = SchemeParams(n, k, k, k)
     return p, coeffs, lam
+
+
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _group_json(result) -> dict:
@@ -75,7 +85,7 @@ def _print_blocks(result) -> None:
 
 
 def cmd_smith_group(args, parser) -> int:
-    p, coeffs, lam = _resolve_inputs(args, parser)
+    p, coeffs, lam = args.element
     result = smith_group(p, coeffs, lam)
     if args.json:
         print(json.dumps(_group_json(result)))
@@ -106,7 +116,7 @@ def cmd_diagonal_form(args, parser) -> int:
 
 
 def cmd_ms(args, parser) -> int:
-    p, coeffs, lam = _resolve_inputs(args, parser)
+    p, coeffs, lam = args.element
     for m in ms_matrices(p, coeffs, lam):
         print(f"M_{m.s} (multiplicity {m.multiplicity}):")
         print(m.entries.pretty())
@@ -129,125 +139,6 @@ def cmd_eigenvalues(args, parser) -> int:
     return 0
 
 
-def cmd_oracle(args, parser) -> int:
-    from .oracle import brute_force_group
-    p, coeffs, lam = _resolve_inputs(args, parser)
-    group = brute_force_group(p, coeffs, lam, cap=args.cap)
-    structured = None
-    agree = None
-    if in_range(p.n, p.kc):
-        structured = smith_group(p, coeffs, lam).group
-        agree = structured == group
-    if args.json:
-        print(json.dumps({
-            "params": {"n": p.n, "kr": p.kr, "kc": p.kc, "ell": p.ell},
-            "coeffs": list(coeffs), "lambda": lam,
-            "oracle": group.to_json_dict(),
-            "structured": structured.to_json_dict() if structured else None,
-            "agree": agree}))
-    else:
-        print(f"brute-force group: {group}")
-        if structured is None:
-            print("structured pipeline skipped: n < 3*kc - 1")
-        else:
-            print(f"structured group:  {structured}")
-            print(f"agreement: {agree}")
-    return 0 if agree in (True, None) else 1
-
-
-def cmd_verify(args, parser) -> int:
-    from .oracle import THEOREMS, verify_closed_form
-    cf = THEOREMS.get(args.theorem)
-    if cf is None:
-        parser.error(f"unknown theorem {args.theorem!r}; "
-                     f"known: {', '.join(sorted(THEOREMS))}")
-    if args.n_from < cf.min_n:
-        parser.error(f"{args.theorem} requires n >= {cf.min_n}")
-    if args.n_to < args.n_from:
-        parser.error("--n-to must be >= --n-from")
-    reports = [verify_closed_form(args.theorem, n, cap=args.cap)
-               for n in range(args.n_from, args.n_to + 1)]
-    ok = True
-    for rep in reports:
-        ok = ok and rep.all_agree
-        if args.json:
-            print(json.dumps(rep.to_json_dict()))
-        else:
-            status = "ok" if rep.all_agree else "MISMATCH"
-            notes = []
-            if rep.structured is None:
-                notes.append("oracle-only")
-            if rep.oracle is None:
-                notes.append("oracle skipped")
-            note = f" ({', '.join(notes)})" if notes else ""
-            group = rep.structured if rep.structured is not None else rep.closed_form
-            print(f"{args.theorem} n={rep.n}: {status}{note} group {group}")
-    if not ok:
-        print("closed-form verification failed", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_conjecture(args, parser) -> int:
-    from .superstandard import check_conjecture
-    triples = [(n, i, j)
-               for n in range(args.n_min, args.n_max + 1)
-               for j in range(0, args.k_max + 1) if in_range(n, j)
-               for i in range(0, j + 1)]
-    if not triples:
-        parser.error("the sweep holds no case: it needs --n-max >= --n-min, "
-                     "--k-max >= 0 and n >= 3k - 1 for some n and k in it")
-    reports = [check_conjecture(*t) for t in triples]
-    log_lines = []
-    all_hold = True
-    for rep in reports:
-        all_hold = all_hold and rep.holds
-        line = json.dumps(rep.to_json_dict())
-        log_lines.append(line)
-        if args.json:
-            print(line)
-        else:
-            print(f"n={rep.n} i={rep.i} j={rep.j}: "
-                  f"{'holds' if rep.holds else 'FAILS'} "
-                  f"(rank {rep.rank}, index {rep.index})")
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(log_lines) + "\n")
-    # with --json, stdout holds only the records (JSON Lines)
-    print(f"checked {len(reports)} cases; "
-          f"{'all hold' if all_hold else 'FAILURES found'}",
-          file=sys.stderr if args.json else sys.stdout)
-    return 0 if all_hold else 1
-
-
-def cmd_export_matrix(args, parser) -> int:
-    which = args.which
-    need = {"A": ("n", "kr", "kc", "ell"), "P": ("n", "k"),
-            "W": ("n", "i", "j"), "E": ("n", "s"), "Ptilde": ("n", "i", "j")}
-    for flag in need[which]:
-        if getattr(args, flag) is None:
-            parser.error(f"export-matrix --which {which} requires --{flag}")
-    if which == "A":
-        m = intersection_matrix(SchemeParams(args.n, args.kr, args.kc, args.ell))
-    elif which == "P":
-        m = bier_p(args.n, args.k)
-    elif which == "W":
-        m = w_matrix(args.n, args.i, args.j)
-    elif which == "E":
-        m = e_matrices(args.n, args.s)[args.s]
-    else:
-        from .superstandard import p_tilde
-        m = p_tilde(args.n, args.i, args.j)
-    text = m.to_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {m.rows}x{m.cols} matrix to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def cmd_snf(args, parser) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         m = IntMatrix.from_text(fh.read())
@@ -260,14 +151,6 @@ def cmd_snf(args, parser) -> int:
         factors = ",".join(str(d) for d in snf.invariant_factors)
         print(f"{m.rows}x{m.cols} matrix: rank {snf.rank}, "
               f"invariant factors {factors if factors else '(none)'}")
-    return 0
-
-
-def cmd_bench(args, parser) -> int:
-    from .oracle import bench
-    p, coeffs, lam = _resolve_inputs(args, parser)
-    report = bench(p, coeffs, lam, repeats=args.repeats, cap=args.cap)
-    print(json.dumps(report.to_json_dict()))
     return 0
 
 
@@ -320,16 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="brute-force group and agreement flag")
     _add_common_element_flags(sp)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    sp.set_defaults(func=cmd_oracle)
+    sp.add_argument("--cap", type=positive_int, default=DEFAULT_CAP)
+    sp.set_defaults(func="cmd_oracle")
 
     sp = sub.add_parser("verify", help="closed-form verification sweep")
     sp.add_argument("--theorem", required=True)
     sp.add_argument("--n-from", type=int, required=True)
     sp.add_argument("--n-to", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    sp.add_argument("--cap", type=positive_int, default=DEFAULT_CAP)
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_verify)
+    sp.set_defaults(func="cmd_verify")
 
     sp = sub.add_parser("conjecture",
                         help="sweep the stacked-matrix unimodularity conjecture")
@@ -339,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--log", type=str, default=None,
                     help="write machine-readable JSONL to this file")
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_conjecture)
+    sp.set_defaults(func="cmd_conjecture")
 
     sp = sub.add_parser("export-matrix", help="write a matrix as plain text")
     sp.add_argument("--which", required=True,
@@ -353,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j", type=int, default=None)
     sp.add_argument("--s", type=int, default=None)
     sp.add_argument("--out", type=str, default=None)
-    sp.set_defaults(func=cmd_export_matrix)
+    sp.set_defaults(func="cmd_export_matrix")
 
     sp = sub.add_parser("snf", help="Smith normal form of a plain-text matrix")
     sp.add_argument("--in", dest="infile", required=True)
@@ -364,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="time the block reduction against the dense SNF")
     _add_common_element_flags(sp, with_json=False)
     sp.add_argument("--repeats", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    sp.set_defaults(func=cmd_bench)
+    sp.add_argument("--cap", type=positive_int, default=DEFAULT_CAP)
+    sp.set_defaults(func="cmd_bench")
 
     return parser
 
@@ -373,8 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler = args.func
+    if isinstance(handler, str):  # one of setsmith.commands, loaded now
+        from . import commands
+        handler = getattr(commands, handler)
     try:
-        return args.func(args, parser)
+        if hasattr(args, "coeffs"):  # the flags of _add_common_element_flags
+            args.element = _resolve_inputs(args, parser)
+        return handler(args, parser)
     except (ExactError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

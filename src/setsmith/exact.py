@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 from math import gcd, prod
-from itertools import combinations, groupby
+from itertools import groupby
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -444,144 +444,6 @@ def smith_normal_form(m: IntMatrix | np.ndarray,
     return SmithForm(tuple(diag), len(diag),
                      left=IntMatrix([row[cols:] for row in a[:rows]], cols=rows),
                      right=IntMatrix(a[rows:], cols=cols))
-
-
-def index(m: IntMatrix) -> int:
-    """Product of the invariant factors; 1 for rank zero."""
-    return prod(smith_normal_form(m).invariant_factors, start=1)
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    """True iff m is square with determinant +-1."""
-    if m.rows != m.cols:
-        return False
-    if m.rows == 0:
-        return True
-    snf = smith_normal_form(m)
-    return snf.rank == m.rows and all(d == 1 for d in snf.invariant_factors)
-
-
-def _bareiss_det(grid: list[list[int]]) -> int:
-    """Fraction-free determinant of a small dense submatrix."""
-    a = [row[:] for row in grid]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pkk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            rowi = a[i]
-            rowk = a[k]
-            for j in range(k + 1, n):
-                rowi[j] = (rowi[j] * pkk - aik * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pkk
-    return sign * a[n - 1][n - 1]
-
-
-def gcd_minors(m: IntMatrix, order: int) -> int:
-    """gcd of all order x order minor determinants (0 when all vanish).
-
-    Meant for the small block matrices; refuses anything bigger than 8 on
-    either side since the minor count explodes combinatorially.
-    """
-    if order < 1 or order > min(m.rows, m.cols):
-        raise ExactError(f"minor order {order} out of range for {m.rows}x{m.cols}")
-    if max(m.rows, m.cols) > 8:
-        raise ExactError("gcd_minors is restricted to matrices of dimension <= 8")
-    g = 0
-    for rows in combinations(range(m.rows), order):
-        for cols in combinations(range(m.cols), order):
-            d = _bareiss_det([[m.data[i][j] for j in cols] for i in rows])
-            g = gcd(g, d)
-            if g == 1:
-                return 1
-    return g
-
-
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular matrix."""
-    if m.rows != m.cols:
-        raise ExactError("only square matrices can be unimodular")
-    snf = smith_normal_form(m, with_transforms=True)
-    if snf.rank != m.rows or any(d != 1 for d in snf.invariant_factors):
-        raise ExactError("matrix is not unimodular")
-    # left @ m @ right == I  =>  m^{-1} == right @ left
-    return snf.right @ snf.left
-
-
-# ---------------------------------------------------------------------------
-# Unimodular completion
-
-def _last_nonzero_columns(m: IntMatrix) -> list[int] | None:
-    """The columns, ascending, that hold the last nonzero of some vector in
-    the row space of m modulo 2**31 - 1; None if the rows are dependent
-    there.  One elimination, scanning the columns from last to first."""
-    import numpy as np
-    p = (1 << 31) - 1
-    a = np.array([[x % p for x in row] for row in m.data],
-                 dtype=np.int64).reshape(m.rows, m.cols)
-    found = []
-    for j in range(m.cols - 1, -1, -1):
-        nz = np.flatnonzero(a[:, j])
-        if nz.size == 0:
-            continue
-        # live rows are zero past column j, so only columns < j change
-        i, rest = nz[0], nz[1:]
-        pivot = a[i, :j] * pow(int(a[i, j]), -1, p) % p
-        a[rest, :j] = (a[rest, :j] - a[rest, j, None] * pivot) % p
-        a[[i, -1]] = a[[-1, i]]
-        a = a[:-1]
-        found.append(j)
-    return found[::-1] if len(found) == m.rows else None
-
-
-def unimodular_completion(m: IntMatrix) -> IntMatrix:
-    """Extend a full-row-rank index-1 matrix to a square unimodular one.
-
-    The rows of m come first, then the unit rows e_j, in column order, for
-    every column j outside K: the r columns that hold the last nonzero of
-    some row-space vector of m modulo 2**31 - 1 (the unit rows a greedy
-    pass finds independent of m).  Expanding along the unit rows, the
-    determinant is +-det(m[:, K]), so one r x r unimodularity check
-    certifies the result, and with it full row rank and index 1.  If that
-    check fails, the completion is read off the Smith transforms of m; it
-    exists exactly when m has full row rank and index 1, and ExactError is
-    raised otherwise.
-    """
-    r, c = m.rows, m.cols
-    if r > c:
-        raise ExactError("completion needs rows <= cols")
-    keep = _last_nonzero_columns(m)
-    if keep is not None and is_unimodular(m.submatrix(range(r), keep)):
-        if r == c:
-            return m
-        kept = set(keep)
-        return IntMatrix(m.data + [[0] * j + [1] + [0] * (c - j - 1)
-                                   for j in range(c) if j not in kept])
-
-    # Smith-transform fallback: with L m R = [I | 0], m stacked over the
-    # bottom rows of R^{-1} is blockdiag(L^{-1}, I) R^{-1}, a unimodular
-    # product.
-    snf = smith_normal_form(m, with_transforms=True)
-    if snf.rank != r or any(d != 1 for d in snf.invariant_factors):
-        raise ExactError("completion needs full row rank and index 1")
-    right_inv = unimodular_inverse(snf.right)
-    candidate = IntMatrix(m.data + right_inv.data[r:])
-    if not is_unimodular(candidate):
-        raise ConstructionError("unimodular completion failed")
-    return candidate
 
 
 # ---------------------------------------------------------------------------

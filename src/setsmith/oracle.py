@@ -4,21 +4,92 @@ The oracle assembles the full intersection-matrix combination entrywise and
 takes its Smith normal form directly; it is valid for every parameter
 choice (including small n where the block reduction does not apply) and is
 what the structured pipeline and the published closed forms are checked
-against.
+against.  The dense matrices are built here too: the block reduction never
+builds one, so only the commands that do load this module.
 """
 
 from __future__ import annotations
 
 import time
 from math import comb, gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import AbelianGroup, ExactError, group_from_diagonal, \
-    group_from_smith, smith_normal_form
+from .exact import (_INT64_CEILING, AbelianGroup, ExactError, IntMatrix,
+                    group_from_diagonal, group_from_smith, smith_normal_form)
 from .scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
-                     SizeCapExceeded, _scheme_array, degree, in_range,
-                     smith_group, unit_coeffs)
-from .subsets import mu
+                     SizeCapExceeded, _check_coeffs, _refuse_oversized,
+                     degree, in_range, smith_group, unit_coeffs)
+from .subsets import enumerate_subsets, mu
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+# ---------------------------------------------------------------------------
+# Dense matrices, built in numpy from the intersection sizes
+
+
+def _padded(subsets) -> np.ndarray:
+    """The subsets as rows of an array, shorter ones padded with 0."""
+    import numpy as np
+    width = max(map(len, subsets), default=0)
+    return np.array([s + (0,) * (width - len(s)) for s in subsets],
+                    dtype=np.intp).reshape(len(subsets), width)
+
+
+def _meets(rows, cols) -> np.ndarray:
+    """|a & b| for every subset a in rows and b in cols, as int16: the rows
+    of a 0/1 membership table (element x column) summed over the elements
+    of a.  Both are padded with 0 to one size, and row 0 of the table, which
+    no element has, stays zero."""
+    import numpy as np
+    r, c = _padded(rows), _padded(cols)
+    width = r.shape[1]
+    top = max((s[-1] for s in (*rows, *cols) if s), default=0)
+    member = np.zeros((top + 1, len(cols)), dtype=np.int16)
+    member[c, np.arange(len(cols))[:, None]] = 1
+    member[0] = 0
+    sizes = np.zeros((len(rows), len(cols)), dtype=np.int16)
+    for t in range(width):
+        sizes += member[r[:, t]]
+    return sizes
+
+
+def _scheme_array(p: SchemeParams, coeffs=None, lam: int = 0,
+                  cap: int = DEFAULT_CAP) -> np.ndarray:
+    """The dense matrix of sum_l b_l A_{n,kr,kc,l} - lam*I as an array,
+    rows kr-subsets and columns kc-subsets in lexicographic order: int64
+    when max|b_l| + |lam| < 2**62, so that every entry is below 2**62, and
+    otherwise dtype object, holding exact Python ints.  Refuses with
+    SizeCapExceeded, before enumerating, a side above cap."""
+    import numpy as np
+    coeffs = _check_coeffs(p, coeffs, lam)
+    rows = comb(p.n, p.kr)
+    _refuse_oversized(f"sum_l b_l A({p.n},{p.kr},{p.kc},l)", rows,
+                      comb(p.n, p.kc), cap)
+    sizes = _meets(enumerate_subsets(p.n, p.kr), enumerate_subsets(p.n, p.kc))
+    wide = max(map(abs, coeffs)) + abs(lam) >= _INT64_CEILING
+    a = np.array(coeffs, dtype=object if wide else np.int64)[sizes]
+    if lam:
+        a[np.arange(rows), np.arange(rows)] -= lam
+    return a
+
+
+def intersection_matrix(p: SchemeParams) -> IntMatrix:
+    """0/1 matrix with entry 1 iff |A & B| == ell, rows kr-subsets, cols
+    kc-subsets, both in lexicographic order."""
+    return scheme_element_matrix(p, unit_coeffs(p))
+
+
+def scheme_element_matrix(p: SchemeParams, coeffs=None, lam: int = 0) -> IntMatrix:
+    """Dense matrix of sum_l b_l A_{n,kr,kc,l} - lam*I."""
+    a = _scheme_array(p, coeffs, lam)
+    return IntMatrix(a, row_labels=enumerate_subsets(p.n, p.kr),
+                     col_labels=enumerate_subsets(p.n, p.kc))
+
+
+# ---------------------------------------------------------------------------
+# The dense Smith group
 
 
 def brute_force_group(p: SchemeParams, coeffs=None, lam: int = 0,

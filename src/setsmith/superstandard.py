@@ -14,8 +14,8 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .exact import IntMatrix, smith_normal_form, stack
-from .scheme import (ParameterError, _inclusion, _refuse_oversized, d_matrix,
-                     in_range, w_matrix)
+from .proof import _inclusion, d_matrix, w_matrix
+from .scheme import ParameterError, _refuse_oversized, in_range
 from .subsets import (STANDARD, SUPER_STANDARD, enumerate_subsets,
                       is_boundary, mu, phi)
 

@@ -5,12 +5,11 @@ import time
 from math import comb
 
 from setsmith.cli import main as cli_main
-from setsmith.exact import (group_from_diagonal, index, is_unimodular,
-                            smith_normal_form, stack)
+from setsmith.exact import group_from_diagonal, smith_normal_form, stack
 from setsmith.oracle import bench, brute_force_group, verify_closed_form
-from setsmith.scheme import (SchemeParams, bier_p, d_matrix, d_product, degree,
-                             e_matrices, ms_matrices, smith_group,
-                             triangular_check, w_matrix)
+from setsmith.proof import (bier_p, d_matrix, d_product, e_matrices, index,
+                            is_unimodular, triangular_check, w_matrix)
+from setsmith.scheme import SchemeParams, degree, ms_matrices, smith_group
 from setsmith.subsets import mu
 from setsmith.superstandard import (boundary_interior_split, check_conjecture,
                                     check_simpler_lemma,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from setsmith.cli import main
+from setsmith.cli import build_parser, main
 from setsmith.exact import AbelianGroup, group_from_diagonal
 
 
@@ -190,6 +190,21 @@ def test_conjecture_command_with_log(tmp_path, capsys):
     assert err == f"checked {len(records)} cases; all hold\n"
 
 
+def test_conjecture_log_opens_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # a --log path that cannot be written fails before the first check, with
+    # an error line and no case on stdout
+    import setsmith.superstandard
+
+    def no_check(*args):
+        raise AssertionError("a check ran before the log was opened")
+
+    monkeypatch.setattr(setsmith.superstandard, "check_conjecture", no_check)
+    code, out, err = run(capsys, "conjecture", "--n-max", "7", "--k-max", "2",
+                         "--log", str(tmp_path / "missing" / "conj.jsonl"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "conj.jsonl" in err
+
+
 def test_export_and_snf_roundtrip(tmp_path, capsys):
     path = tmp_path / "w.txt"
     code, out, _ = run(capsys, "export-matrix", "--which", "W", "--n", "8",
@@ -260,15 +275,23 @@ def test_argument_errors_exit_2(capsys):
                   "--coeffs", "0,1,x,0"],
                  # an empty conjecture sweep
                  ["conjecture", "--n-min", "5", "--n-max", "4", "--k-max", "1"],
-                 ["conjecture", "--n-max", "6", "--k-max", "-1"]):
+                 ["conjecture", "--n-max", "6", "--k-max", "-1"],
+                 # a cap below 1
+                 ["oracle", "--n", "8", "--k", "2", "--ell", "1", "--cap", "0"],
+                 ["verify", "--theorem", "johnson_k2_laplacian", "--n-from",
+                  "5", "--n-to", "5", "--cap", "-1"],
+                 ["bench", "--n", "8", "--k", "2", "--ell", "1", "--cap", "0"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+    assert build_parser().parse_args(argv[:-1] + ["1"]).cap == 1
 
 
 # Runs each step in turn in one fresh interpreter (pytest's own process has
-# numpy loaded already) and prints, after each, whether numpy and the
-# valence lane are loaded.
+# numpy loaded already) and prints, after each, which of these modules are
+# loaded, and every setsmith module that is.
+_WATCHED = ("numpy", "setsmith.valence", "dataclasses", "setsmith.oracle",
+            "setsmith.proof", "setsmith.commands")
 _LOADED_AFTER_EACH = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -281,15 +304,16 @@ for argv in json.loads(sys.argv[1]):
             smith_group(SchemeParams(10, 3, 3, 1), lam=2).group.to_json_dict()
         elif main(argv):
             sys.exit(f"{argv} failed")
-    loaded.append([m in sys.modules
-                   for m in ("numpy", "setsmith.valence", "dataclasses")])
+    loaded.append([[m in sys.modules for m in json.loads(sys.argv[2])],
+                   sorted(m for m in sys.modules if m.startswith("setsmith"))])
 print(json.dumps(loaded))
 """
 
 
 def test_block_commands_load_neither_numpy_nor_valence(tmp_path):
     # nor dataclasses, whose import (inspect, ast, dis) costs more than a
-    # block query
+    # block query, nor the modules that hold what the block reduction never
+    # runs: a cold start compiles every module it loads
     path = tmp_path / "m.txt"
     path.write_text("3 3\n2 4 4\n-6 6 12\n10 -4 -16\n")
     steps = [
@@ -307,12 +331,20 @@ def test_block_commands_load_neither_numpy_nor_valence(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_EACH,
-                           json.dumps(steps)],
+                           json.dumps(steps), json.dumps(_WATCHED)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert loaded[:-1] == [[False, False, False]] * (len(steps) - 1)
-    assert loaded[-1][0] and not loaded[-1][2]
+    block_modules = ["setsmith", "setsmith.cli", "setsmith.exact",
+                     "setsmith.scheme", "setsmith.subsets"]
+    assert loaded[:-1] == [[[False] * len(_WATCHED), block_modules]] * (
+        len(steps) - 1)
+    # the oracle's cold start loads numpy, the oracle and the dense commands,
+    # and not the proof objects
+    assert dict(zip(_WATCHED, loaded[-1][0])) == {
+        "numpy": True, "setsmith.valence": True, "dataclasses": False,
+        "setsmith.oracle": True, "setsmith.proof": False,
+        "setsmith.commands": True}
 
 
 def test_precondition_violations_exit_1(tmp_path, capsys):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from setsmith.exact import (_INT64_CEILING, _LIST_LANE_BELOW, AbelianGroup,
-                            ExactError, IntMatrix, SmithForm, _bareiss_det,
+                            ExactError, IntMatrix, SmithForm,
                             _chain_fix, _eliminate,
-                            gcd_minors, group_from_diagonal, group_from_smith,
-                            index, is_unimodular, smith_normal_form, stack,
+                            group_from_diagonal, group_from_smith,
+                            smith_normal_form, stack)
+from setsmith.oracle import _scheme_array, scheme_element_matrix
+from setsmith.proof import (_bareiss_det, gcd_minors, index, is_unimodular,
                             unimodular_completion, unimodular_inverse)
-from setsmith.scheme import (SchemeParams, _scheme_array, degree, eigenvalues,
-                             scheme_element_matrix, smith_group)
+from setsmith.scheme import SchemeParams, degree, eigenvalues, smith_group
 from setsmith.valence import (_annihilates, _diagonal_mod, _factor,
                               _integer_roots, _valence_parts, valence_finish)
 

@@ -8,9 +8,10 @@ from setsmith.exact import (AbelianGroup, IntMatrix, group_from_diagonal,
                             group_from_smith, smith_normal_form)
 from setsmith.oracle import (SizeCapExceeded, THEOREMS, bench,
                              brute_force_group, closed_form_entries,
-                             closed_form_group, verify_closed_form)
+                             closed_form_group, scheme_element_matrix,
+                             verify_closed_form)
 from setsmith.scheme import (ParameterError, SchemeParams, eigenvalues,
-                             scheme_element_matrix, smith_group)
+                             smith_group)
 
 
 def test_brute_force_matches_published_example():

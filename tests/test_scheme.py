@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setsmith import exact, scheme
-from setsmith.exact import IntMatrix, is_unimodular
+from setsmith import exact, proof
+from setsmith.exact import IntMatrix
+from setsmith.oracle import (_scheme_array, intersection_matrix,
+                             scheme_element_matrix)
+from setsmith.proof import (bier_p, d_diag, d_matrix, d_product,
+                            d_prime_entries, e_matrices, f_coeff,
+                            is_unimodular, triangular_check, w_matrix)
 from setsmith.scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
-                             SizeCapExceeded, bier_p,
-                             block_multiplicity, c_coeff, d_diag, d_matrix,
-                             d_product, d_prime_entries, degree, e_matrices,
-                             eigenvalues, f_coeff, intersection_matrix,
-                             ms_matrices, ms_matrix, scheme_element_matrix,
-                             smith_group, triangular_check, w_matrix)
-from setsmith.scheme import _combined_f, _scheme_array
+                             SizeCapExceeded, block_multiplicity, c_coeff,
+                             degree, eigenvalues, ms_matrices, ms_matrix,
+                             smith_group)
+from setsmith.scheme import _combined_f
 from setsmith.exact import (AbelianGroup, ExactError, _coprime_base,
                             group_from_diagonal, smith_normal_form)
 from setsmith.oracle import (THEOREMS, bench, brute_force_group,
@@ -271,28 +273,28 @@ def test_e_families_never_need_the_smith_fallback(monkeypatch):
     # unimodular_completion never reaches smith_normal_form's transforms
     # (which stay for index-1 input such as [[2, 3]]); a fresh cache keeps
     # families built by earlier tests from passing unchecked
-    snf = exact.smith_normal_form
+    snf = proof.smith_normal_form
 
     def no_transforms(m, with_transforms=False):
         assert not with_transforms, f"Smith-transform fallback on {m.shape()}"
         return snf(m)
 
-    monkeypatch.setattr(exact, "smith_normal_form", no_transforms)
-    monkeypatch.setattr(scheme, "_E_CACHE", {})
+    monkeypatch.setattr(proof, "smith_normal_form", no_transforms)
+    monkeypatch.setattr(proof, "_E_CACHE", {})
     for n in range(14):
         assert len(e_matrices(n, (n + 1) // 3)) == (n + 1) // 3 + 1
 
 
 def test_e_build_refuses_an_inexact_row_scaling(monkeypatch):
     # a wrong scale on the last row of E_1 W_{1,2} must not pass as exact
-    scales = scheme.d_prime_entries
+    scales = proof.d_prime_entries
 
     def doubled_last(n, i, j):
         out = scales(n, i, j)
         return out[:-1] + [2 * out[-1]] if i == 1 else out
 
-    monkeypatch.setattr(scheme, "d_prime_entries", doubled_last)
-    monkeypatch.setattr(scheme, "_E_CACHE", {})
+    monkeypatch.setattr(proof, "d_prime_entries", doubled_last)
+    monkeypatch.setattr(proof, "_E_CACHE", {})
     assert len(e_matrices(10, 1)) == 2
     with pytest.raises(exact.ConstructionError, match=r"E_1 W_\{1,2\}"):
         e_matrices(10, 2)
@@ -659,7 +661,7 @@ def _assert_full_conjugation_structure(p, coeffs, lam, es=None):
     # materialize T = blockdiag(E) P^{-1} L P blockdiag(E^{-1}) and check
     # every copy of every M_s sits in its predicted slot with zeros elsewhere;
     # E is the recursive family unless es is given
-    from setsmith.exact import unimodular_inverse
+    from setsmith.proof import unimodular_inverse
     n, k = p.n, p.kr
     big_l = scheme_element_matrix(p, coeffs, lam)
     p_mat = bier_p(n, k)
@@ -715,7 +717,7 @@ def test_full_conjugation_embeds_the_blocks():
 
 def test_concurrent_callers_share_the_e_cache():
     import threading
-    from setsmith.scheme import _E_CACHE
+    from setsmith.proof import _E_CACHE
     _E_CACHE.clear()
     results = []
     lock = threading.Lock()
@@ -788,3 +790,38 @@ def test_combined_f_matches_the_per_ell_definition(data):
                  for ell, b in enumerate(coeffs)) if i <= j else 0
              for j in range(kc + 1)] for i in range(kr + 1)]
     assert _combined_f(p, coeffs) == want
+
+
+# The names `import setsmith` offered before the dense builders, the proof
+# objects and the dense command handlers moved to modules that load on first
+# use; perfbench/worker.py imports some of them from setsmith.
+_EXPORTED = (
+    "AbelianGroup", "BenchReport", "BoundarySplit", "ConjectureReport",
+    "ConstructionError", "DEFAULT_CAP", "ExactError", "IntMatrix",
+    "MsMatrix", "ParameterError", "STANDARD", "SUPER_STANDARD",
+    "SchemeParams", "SizeCapExceeded", "SmithForm", "SmithGroupResult",
+    "SpectrumEntry", "THEOREMS", "UNRESTRICTED", "VerificationReport",
+    "__version__", "bench", "bier_p", "binomial", "block_multiplicity",
+    "boundary_interior_split", "brute_force_group", "c_coeff",
+    "check_conjecture", "check_simpler_lemma", "closed_form_entries",
+    "closed_form_group", "d_diag", "d_matrix", "d_product", "degree",
+    "diagonal_form_entries", "e_matrices", "eigenvalues",
+    "enumerate_subsets", "exact", "f_coeff", "gcd_minors",
+    "group_from_diagonal", "group_from_smith", "index",
+    "intersection_matrix", "is_boundary", "is_standard",
+    "is_super_standard", "is_unimodular", "ms_matrices", "ms_matrix", "mu",
+    "oracle", "p_tilde", "phi", "phi_boundary_column_match", "phi_inverse",
+    "scheme", "scheme_element_matrix", "smith_group", "smith_normal_form",
+    "stack", "subsets", "superstandard", "triangular_check",
+    "unimodular_completion", "unimodular_inverse", "unit_coeffs",
+    "verify_closed_form", "w_matrix", "w_tilde")
+
+
+def test_every_exported_name_still_resolves():
+    import setsmith
+    missing = [name for name in _EXPORTED if not hasattr(setsmith, name)]
+    assert missing == []
+    from setsmith import brute_force_group, scheme_element_matrix
+    assert brute_force_group is setsmith.oracle.brute_force_group
+    assert scheme_element_matrix is setsmith.oracle.scheme_element_matrix
+    assert setsmith.e_matrices is setsmith.proof.e_matrices

@@ -1,7 +1,7 @@
 import pytest
 
-from setsmith.exact import is_unimodular
-from setsmith.scheme import ParameterError, e_matrices
+from setsmith.proof import e_matrices, is_unimodular
+from setsmith.scheme import ParameterError
 from setsmith.subsets import SUPER_STANDARD, enumerate_subsets, mu
 from setsmith.superstandard import (boundary_interior_split, check_conjecture,
                                     check_simpler_lemma, p_tilde,

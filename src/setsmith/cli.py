@@ -66,8 +66,7 @@ def positive_int(text: str) -> int:
 
 def _group_json(result) -> dict:
     return {
-        "params": {"n": result.params.n, "kr": result.params.kr,
-                   "kc": result.params.kc, "ell": result.params.ell},
+        "params": result.params._asdict(),
         "coeffs": list(result.coeffs),
         "lambda": result.lam,
         "group": result.group.to_json_dict(),
@@ -128,8 +127,7 @@ def cmd_eigenvalues(args, parser) -> int:
     p = SchemeParams(args.n, args.k, args.k, args.ell)
     spec = eigenvalues(p, lam=lam)
     if args.json:
-        print(json.dumps([{"eigenvalue": s.eigenvalue,
-                           "multiplicity": s.multiplicity} for s in spec]))
+        print(json.dumps([s._asdict() for s in spec]))
     else:
         print(f"spectrum of A - lambda*I for n={args.n} k={args.k} "
               f"ell={args.ell} lambda={lam}")
@@ -246,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench",
                         help="time the block reduction against the dense SNF")
     _add_common_element_flags(sp, with_json=False)
-    sp.add_argument("--repeats", type=int, default=1)
+    sp.add_argument("--repeats", type=positive_int, default=1)
     sp.add_argument("--cap", type=positive_int, default=DEFAULT_CAP)
     sp.set_defaults(func="cmd_bench")
 

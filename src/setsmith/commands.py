@@ -25,7 +25,7 @@ def cmd_oracle(args, parser) -> int:
         agree = structured == group
     if args.json:
         print(json.dumps({
-            "params": {"n": p.n, "kr": p.kr, "kc": p.kc, "ell": p.ell},
+            "params": p._asdict(),
             "coeffs": list(coeffs), "lambda": lam,
             "oracle": group.to_json_dict(),
             "structured": structured.to_json_dict() if structured else None,

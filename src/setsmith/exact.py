@@ -8,9 +8,10 @@ handed over as int64 arrays) goes to the valence lane
 (setsmith.valence), which works modulo word-size
 moduli bounded by the valence of the matrix, or of its Gram matrix when
 it is not square, and checks its minimal polynomial exactly.  A matrix
-the valence lane refuses is reduced on the list lane.  Transforms are
-always computed on the list lane.  Matrix products take float64 or int64
-only when no partial sum can be rounded or overflow.
+the valence lane refuses is reduced on the list lane.  Both lanes return
+the invariant factors, in divisibility-chain order.  Transforms are always
+computed on the list lane.  Matrix products take float64 or int64 only
+when no partial sum can be rounded or overflow.
 
 numpy and setsmith.valence load on first dense use: only the functions
 that build or reduce an array import them, so the block reduction, group
@@ -274,28 +275,6 @@ class SmithForm(NamedTuple):
         return IntMatrix.diagonal(self.invariant_factors, rows, cols)
 
 
-def _chain_fix(diag: list[int], mix=None) -> None:
-    """Turn positive diagonal values into the divisibility chain, in place.
-
-    One pass suffices: once position i has met every later position it
-    divides all of them, and later steps only replace values by gcds and
-    lcms of multiples of it.  For each pair i < j that is not yet in chain
-    order, mix(i, j, d_i, d_j) is called with the old values before they
-    become their gcd and lcm, so a caller can apply the matching unimodular
-    operations to a matrix.
-    """
-    if all(dj % di == 0 for di, dj in zip(diag, diag[1:])):
-        return  # already a chain
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            di, dj = diag[i], diag[j]
-            if dj % di:
-                if mix is not None:
-                    mix(i, j, di, dj)
-                g = gcd(di, dj)
-                diag[i], diag[j] = g, di // g * dj
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """g, x, y with x*a + y*b == g == gcd(a, b), g >= 0."""
     old_r, r = a, b
@@ -317,13 +296,15 @@ def _eliminate(a: list[list[int]], m: int, n: int) -> list[int]:
     Row operations act on whole rows of a and column operations on whole
     columns, so blocks appended to the right of the first m rows or below
     them ride along (smith_normal_form keeps its transforms there).  The
-    rows below the block need only n entries.  Returns the positive
-    diagonal values; the leading block is then zero off its diagonal.
+    rows below the block need only n entries.  Returns the invariant
+    factors, the positive diagonal values in divisibility-chain order; the
+    leading block is then zero off its diagonal.
     """
     diag: list[int] = []
     t = 0
-    while t < min(m, n):
-        # pivot: an entry of least absolute value; a unit ends the search
+    while True:
+        # pivot: an entry of least absolute value; a unit ends the search.
+        # Past the last row or column none is found.
         best = bi = bj = 0
         for i in range(t, m):
             row = a[i]
@@ -336,7 +317,18 @@ def _eliminate(a: list[list[int]], m: int, n: int) -> list[int]:
             if best == 1:
                 break
         if not best:
-            break
+            # the block is diagonal.  Where d_i first fails to divide
+            # d_{i+1}, add row i + 1 to row i and eliminate again from t = i:
+            # that keeps d_0 .. d_{i-1} and lowers d_i (its row now holds an
+            # entry it does not divide), so the repairs end, in chain order.
+            i = next((i for i in range(len(diag) - 1)
+                      if diag[i + 1] % diag[i]), None)
+            if i is None:
+                return diag
+            a[i] = [x + y for x, y in zip(a[i], a[i + 1])]
+            del diag[i:]
+            t = i
+            continue
         a[t], a[bi] = a[bi], a[t]
         if bj != t:
             for row in a:
@@ -375,27 +367,11 @@ def _eliminate(a: list[list[int]], m: int, n: int) -> list[int]:
                 diag.append(p)
                 t += 1
             break  # next pivot, or re-pick this one: row t holds a smaller entry
-    return diag
-
-
-def _mix_pair(a: list[list[int]], i: int, j: int, di: int, dj: int) -> None:
-    """Unimodular row and column operations on a that turn the diagonal
-    entries di, dj at positions i, j of a diagonal leading block into
-    their gcd and lcm."""
-    a[i] = [x + y for x, y in zip(a[i], a[j])]   # entry (i, j) becomes dj
-    g, x, y = _xgcd(di, dj)
-    u, v = -(dj // g), di // g                   # det [[x, u], [y, v]] == 1
-    for row in a:
-        ci, cj = row[i], row[j]
-        row[i] = x * ci + y * cj
-        row[j] = u * ci + v * cj
-    # row i is now (g, 0) and row j (y*dj, lcm) in columns i, j
-    q = y * dj // g
-    a[j] = [s - q * r for s, r in zip(a[j], a[i])]
 
 
 def _diagonal_values(m: IntMatrix | np.ndarray) -> list[int]:
-    """Positive diagonal values of some diagonal form of m (no chain yet).
+    """The invariant factors of m, positive and in divisibility-chain
+    order, from either lane.
 
     m is an IntMatrix, or a numpy array of an integer dtype (see
     _integer_array).  Matrices with fewer than _LIST_LANE_BELOW rows or
@@ -430,8 +406,7 @@ def smith_normal_form(m: IntMatrix | np.ndarray,
     (cols x cols) with left @ m @ right equal to the padded diagonal.
     """
     if not with_transforms:
-        diag = sorted(_diagonal_values(m))
-        _chain_fix(diag)
+        diag = _diagonal_values(m)
         return SmithForm(tuple(diag), len(diag))
     rows, cols = m.rows, m.cols
     # reduce [m | I] stacked over [I]: the row operations build the left
@@ -440,7 +415,6 @@ def smith_normal_form(m: IntMatrix | np.ndarray,
          for i, row in enumerate(m.data)]
     a += [[int(i == j) for j in range(cols)] for i in range(cols)]
     diag = _eliminate(a, rows, cols)
-    _chain_fix(diag, lambda i, j, di, dj: _mix_pair(a, i, j, di, dj))
     return SmithForm(tuple(diag), len(diag),
                      left=IntMatrix([row[cols:] for row in a[:rows]], cols=rows),
                      right=IntMatrix(a[rows:], cols=cols))

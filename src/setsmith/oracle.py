@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import time
 from math import comb, gcd
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
+
+import numpy as np
 
 from .exact import (_INT64_CEILING, AbelianGroup, ExactError, IntMatrix,
                     group_from_diagonal, group_from_smith, smith_normal_form)
@@ -21,9 +23,6 @@ from .scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
                      degree, in_range, smith_group, unit_coeffs)
 from .subsets import enumerate_subsets, mu
 
-if TYPE_CHECKING:
-    import numpy as np
-
 
 # ---------------------------------------------------------------------------
 # Dense matrices, built in numpy from the intersection sizes
@@ -31,7 +30,6 @@ if TYPE_CHECKING:
 
 def _padded(subsets) -> np.ndarray:
     """The subsets as rows of an array, shorter ones padded with 0."""
-    import numpy as np
     width = max(map(len, subsets), default=0)
     return np.array([s + (0,) * (width - len(s)) for s in subsets],
                     dtype=np.intp).reshape(len(subsets), width)
@@ -42,7 +40,6 @@ def _meets(rows, cols) -> np.ndarray:
     of a 0/1 membership table (element x column) summed over the elements
     of a.  Both are padded with 0 to one size, and row 0 of the table, which
     no element has, stays zero."""
-    import numpy as np
     r, c = _padded(rows), _padded(cols)
     width = r.shape[1]
     top = max((s[-1] for s in (*rows, *cols) if s), default=0)
@@ -62,8 +59,7 @@ def _scheme_array(p: SchemeParams, coeffs=None, lam: int = 0,
     when max|b_l| + |lam| < 2**62, so that every entry is below 2**62, and
     otherwise dtype object, holding exact Python ints.  Refuses with
     SizeCapExceeded, before enumerating, a side above cap."""
-    import numpy as np
-    coeffs = _check_coeffs(p, coeffs, lam)
+    coeffs, lam = _check_coeffs(p, coeffs, lam)
     rows = comb(p.n, p.kr)
     _refuse_oversized(f"sum_l b_l A({p.n},{p.kr},{p.kc},l)", rows,
                       comb(p.n, p.kc), cap)
@@ -365,8 +361,7 @@ class BenchReport(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "params": {"n": self.params.n, "kr": self.params.kr,
-                       "kc": self.params.kc, "ell": self.params.ell},
+            "params": self.params._asdict(),
             "coeffs": list(self.coeffs),
             "lambda": self.lam,
             "repeats": self.repeats,

@@ -15,7 +15,8 @@ from __future__ import annotations
 import threading
 from itertools import combinations
 from math import comb, gcd, prod
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .exact import (_INT64_CEILING, ConstructionError, ExactError, IntMatrix,
                     _product, smith_normal_form)
@@ -23,9 +24,6 @@ from .oracle import _meets, intersection_matrix
 from .scheme import (ParameterError, SchemeParams, _refuse_oversized,
                      c_coeff, in_range)
 from .subsets import STANDARD, binomial, enumerate_subsets, mu
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +112,6 @@ def _last_nonzero_columns(a: np.ndarray) -> list[int] | None:
     the row space of the integer array a modulo 2**31 - 1; None if the rows
     are dependent there.  One elimination, scanning the columns from last
     to first."""
-    import numpy as np
     p = (1 << 31) - 1
     rows, cols = a.shape
     a = (a % p).astype(np.int64, copy=False)
@@ -149,7 +146,6 @@ def unimodular_completion(m: IntMatrix) -> IntMatrix:
     r, c = m.rows, m.cols
     if r > c:
         raise ExactError("completion needs rows <= cols")
-    import numpy as np
     dtype = np.int64 if m.max_abs() < _INT64_CEILING else object
     a = np.array(m.data, dtype=dtype).reshape(r, c)
     keep = _last_nonzero_columns(a)
@@ -180,7 +176,6 @@ def unimodular_completion(m: IntMatrix) -> IntMatrix:
 
 def _inclusion(rows, cols) -> IntMatrix:
     """Labelled 0/1 matrix, 1 where the row subset is inside the column one."""
-    import numpy as np
     inside = _meets(rows, cols) == np.array([len(a) for a in rows])[:, None]
     return IntMatrix(inside.astype(np.int64), row_labels=rows, col_labels=cols)
 
@@ -268,7 +263,6 @@ _E_LOCK = threading.Lock()
 
 
 def _extend_recursive(n: int, es: list[IntMatrix], k_max: int) -> None:
-    import numpy as np
     while len(es) <= k_max:
         s = len(es) - 1
         ew = _product(es[s], w_matrix(n, s, s + 1))
@@ -303,7 +297,6 @@ def triangular_check(p: SchemeParams) -> bool:
     assembled from f_coeff(i, j) * W_{i,j} blocks.  U is built at once: the
     inclusion table of the standard subsets of size at most kr into those
     of size at most kc, each 1 scaled by f_coeff at the two sizes."""
-    import numpy as np
     a = intersection_matrix(p)
     pr = bier_p(p.n, p.kr)
     pc = pr if p.kc == p.kr else bier_p(p.n, p.kc)

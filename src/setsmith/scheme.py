@@ -17,6 +17,7 @@ first use, so the block reduction starts without compiling them.
 from __future__ import annotations
 
 from math import comb
+from operator import index
 from typing import NamedTuple
 
 from .exact import (AbelianGroup, ExactError, IntMatrix, group_from_diagonal,
@@ -46,6 +47,15 @@ def _refuse_oversized(what: str, rows: int, cols: int,
             "rows or columns")
 
 
+def _integer(value, what: str) -> int:
+    """value as a Python int, if it is an integer of any type (numpy's
+    included); a float, even a whole one, is refused, not rounded."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+
+
 class _SchemeParamsFields(NamedTuple):
     n: int
     kr: int
@@ -60,7 +70,8 @@ class SchemeParams(_SchemeParamsFields):
     __slots__ = ()
 
     def __new__(cls, n, kr, kc, ell):
-        self = super().__new__(cls, n, kr, kc, ell)
+        self = super().__new__(cls, *(_integer(v, name) for v, name in
+                                      zip((n, kr, kc, ell), cls._fields)))
         if not (0 <= ell <= kr <= kc <= n):
             raise ParameterError(
                 f"need 0 <= ell <= kr <= kc <= n, got {self}")
@@ -135,17 +146,20 @@ class SmithGroupResult(NamedTuple):
     blocks: tuple[BlockReport, ...]
 
 
-def _check_coeffs(p: SchemeParams, coeffs, lam: int) -> tuple[int, ...]:
+def _check_coeffs(p: SchemeParams, coeffs,
+                  lam: int) -> tuple[tuple[int, ...], int]:
+    """The coefficients and the shift as Python ints, once checked."""
     if coeffs is None:
         coeffs = unit_coeffs(p)
-    coeffs = tuple(int(b) for b in coeffs)
+    coeffs = tuple(_integer(b, "each coefficient") for b in coeffs)
+    lam = _integer(lam, "the shift lambda")
     if len(coeffs) != p.kr + 1:
         raise ParameterError(
             f"need kr+1 = {p.kr + 1} coefficients b_0..b_kr, got {len(coeffs)}")
     if lam and not p.square:
         raise ParameterError(
             "a diagonal shift is only defined for square parameters")
-    return coeffs
+    return coeffs, lam
 
 
 def block_multiplicity(n: int, s: int) -> int:
@@ -171,7 +185,7 @@ def ms_matrices(p: SchemeParams, coeffs=None, lam: int = 0) -> list[MsMatrix]:
     """The blocks M_s, entries -lam*delta_{ij} + C(j-s,i-s) * sum_l b_l f_i(j)
     for s <= i <= kr, s <= j <= kc (upper triangular when square), s = 0..kr.
     Refused below n = 3*kc - 1, where multiplicities can go negative."""
-    coeffs = _check_coeffs(p, coeffs, lam)
+    coeffs, lam = _check_coeffs(p, coeffs, lam)
     if not in_range(p.n, p.kc):
         raise ParameterError(
             f"the block reduction assumes n >= 3*kc - 1 (here n >= {3 * p.kc - 1}); "
@@ -200,7 +214,7 @@ def smith_group(p: SchemeParams, coeffs=None, lam: int = 0) -> SmithGroupResult:
     unimodular E family diagonalizes them, so none is built here;
     e_matrices builds and validates one on its own.
     """
-    coeffs = _check_coeffs(p, coeffs, lam)
+    coeffs, lam = _check_coeffs(p, coeffs, lam)
     blocks = []
     entries: list[tuple[int, int]] = []
     used_rank = 0

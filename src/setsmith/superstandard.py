@@ -64,14 +64,7 @@ class ConjectureReport(NamedTuple):
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "i": self.i, "j": self.j,
-                "rows": self.rows, "cols": self.cols,
-                "expected_rows": self.expected_rows,
-                "expected_cols": self.expected_cols,
-                "rank": self.rank, "index": self.index,
-                "unimodular_when_square": self.unimodular_when_square,
-                "in_hypothesis": self.in_hypothesis,
-                "holds": self.holds, "note": self.note}
+        return self._asdict()
 
 
 def check_conjecture(n: int, i: int, j: int) -> ConjectureReport:

@@ -276,6 +276,9 @@ def test_argument_errors_exit_2(capsys):
                  # an empty conjecture sweep
                  ["conjecture", "--n-min", "5", "--n-max", "4", "--k-max", "1"],
                  ["conjecture", "--n-max", "6", "--k-max", "-1"],
+                 # repeats below 1
+                 ["bench", "--n", "8", "--k", "2", "--ell", "1", "--repeats",
+                  "0"],
                  # a cap below 1
                  ["oracle", "--n", "8", "--k", "2", "--ell", "1", "--cap", "0"],
                  ["verify", "--theorem", "johnson_k2_laplacian", "--n-from",

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from setsmith.exact import (_INT64_CEILING, _LIST_LANE_BELOW, AbelianGroup,
-                            ExactError, IntMatrix, SmithForm,
-                            _chain_fix, _eliminate,
+                            ExactError, IntMatrix, SmithForm, _eliminate,
                             group_from_diagonal, group_from_smith,
                             smith_normal_form, stack)
 from setsmith.oracle import _scheme_array, scheme_element_matrix
@@ -77,6 +76,57 @@ def test_snf_transforms_random():
         assert smith_normal_form(m).invariant_factors == snf.invariant_factors
 
 
+def _minor_factors(m):
+    """The invariant factors by their definition: d_k = D_k / D_{k-1}, with
+    D_k the gcd of the k x k minors, up to the first D_k that is 0."""
+    out, prev = [], 1
+    for k in range(1, min(m.rows, m.cols) + 1):
+        g = gcd_minors(m, k)
+        if not g:
+            break
+        out.append(g // prev)
+        prev = g
+    return tuple(out)
+
+
+# diagonals with an entry that does not divide the next one (coprime pairs
+# and triples among them), which the pivot loop leaves out of chain order
+_OUT_OF_CHAIN = [(2, 3), (3, 2), (6, 10, 15), (15, 10, 6), (4, 9, 25, 49),
+                 (5, 7, 1, 3), (12, 18, 8), (2, 0, 3)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["diagonal", "triangular", "random"]),
+       diag=st.one_of(st.sampled_from(_OUT_OF_CHAIN),
+                      st.lists(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 9, 10,
+                                                14, 15, 21, 35]),
+                               min_size=2, max_size=5)),
+       extra_rows=st.integers(0, 1), extra_cols=st.integers(0, 1),
+       seed=st.integers(0, 2 ** 32))
+def test_eliminate_returns_the_invariant_factors(kind, diag, extra_rows,
+                                                 extra_cols, seed):
+    # a diagonal or upper-triangular block with the diagonal diag, padded
+    # by a zero row or column, or a random matrix; _eliminate itself must
+    # return the chain, and its transforms must reach it
+    rng = random.Random(seed)
+    rows, cols = len(diag) + extra_rows, len(diag) + extra_cols
+    if kind == "random":
+        m = rand_matrix(rng, rows, cols, -30, 30)
+    else:
+        m = IntMatrix.diagonal(diag, rows, cols)
+        if kind == "triangular":
+            for i in range(len(diag)):
+                for j in range(i + 1, cols):
+                    m.data[i][j] = rng.randint(-12, 12)
+    want = _minor_factors(m)
+    assert _eliminate([list(row) for row in m.data], rows, cols) == list(want)
+    snf = smith_normal_form(m, with_transforms=True)
+    assert snf.invariant_factors == want and snf.rank == len(want)
+    assert snf.left @ m @ snf.right == snf.diagonal_matrix(rows, cols)
+    assert abs(_bareiss_det(snf.left.data)) == 1
+    assert abs(_bareiss_det(snf.right.data)) == 1
+
+
 def _random_unimodular(rng, n):
     """A product of random elementary row operations with small multipliers."""
     data = IntMatrix.identity(n).data
@@ -133,9 +183,11 @@ def _ceiling_case(corner, lower):
 
 
 def _chain(values):
-    values = sorted(values)
-    _chain_fix(values)
-    return tuple(values)
+    """The invariant factors, units included, of the diagonal matrix with
+    the positive entries values, in whatever order they come."""
+    values = list(values)
+    factors = group_from_diagonal((v, 1) for v in values).invariant_factors
+    return (1,) * (len(values) - len(factors)) + factors
 
 
 def _array(m):

@@ -39,6 +39,29 @@ def test_params_validation():
         SchemeParams(3, 2, 4, 0)
 
 
+def test_non_integer_inputs_are_refused():
+    # a float is refused, not rounded or passed on to fail in the
+    # elimination; numpy integers pass and come out as Python ints
+    p = SchemeParams(10, 3, 3, 1)
+    for call, message in (
+            (lambda: smith_group(p, (0, 1.9, 0, 0)), "coefficient"),
+            (lambda: smith_group(p, lam=0.5), "shift"),
+            (lambda: smith_group(p, lam=2.0), "shift"),
+            (lambda: eigenvalues(p, lam=0.5), "shift"),
+            (lambda: ms_matrices(p, (0, 1, 0, "2")), "coefficient"),
+            (lambda: brute_force_group(p, (0, 1, 0, 0), lam=1.0), "shift"),
+            (lambda: SchemeParams(10.5, 3, 3, 1), "n must"),
+            (lambda: SchemeParams(10, 3, 3.0, 1), "kc must"),
+            (lambda: p._replace(ell=None), "ell must")):
+        with pytest.raises(ParameterError, match=message):
+            call()
+    q = SchemeParams(np.int64(10), np.int32(3), 3, np.uint8(1))
+    assert q == p and all(type(v) is int for v in q)
+    result = smith_group(p, np.array([0, 2, 0, 1]), np.int64(3))
+    assert result == smith_group(p, (0, 2, 0, 1), 3)
+    assert all(type(v) is int for v in (*result.coeffs, result.lam))
+
+
 def test_records_are_immutable_and_check_their_fields():
     p = SchemeParams(8, 2, 2, 1)
     result = smith_group(p, lam=3)

@@ -7,7 +7,9 @@ invariant is violated (the message says which), 2 for malformed arguments.
 The handlers of oracle, verify, conjecture, export-matrix and bench are in
 setsmith.commands, which main() imports only when one of them runs, so
 the block-reduction commands start without compiling it, the oracle, the
-proof objects or the super-standard construction.
+proof objects or the super-standard construction.  main() builds the
+parser of the named command alone, and _resolve_inputs is the one place
+where the element flags become (SchemeParams, coeffs, lambda).
 """
 
 from __future__ import annotations
@@ -21,38 +23,37 @@ from .scheme import (DEFAULT_CAP, SchemeParams, degree, diagonal_form_entries,
                      eigenvalues, ms_matrices, smith_group, unit_coeffs)
 
 
-def _parse_lambda(args, parser) -> int:
-    """The --lambda flag: an integer, or 'degree' (which needs --ell)."""
-    if args.lam == "degree":
-        if args.ell is None:
-            parser.error("--lambda degree requires --ell")
-        return degree(args.n, args.k, args.ell)
-    try:
-        return int(args.lam)
-    except ValueError:
-        parser.error("--lambda takes an integer or 'degree'")
-
-
 def _resolve_inputs(args, parser) -> tuple[SchemeParams, tuple[int, ...], int]:
-    """Turn --ell/--coeffs/--lambda flags into (params, coeffs, lam), which
-    main() stores as args.element for the command."""
-    n, k = args.n, args.k
-    if args.coeffs is not None and args.ell is not None:
-        parser.error("--ell and --coeffs are mutually exclusive")
-    if args.coeffs is None and args.ell is None:
-        parser.error("one of --ell or --coeffs is required")
-    lam = _parse_lambda(args, parser)
-    if args.ell is not None:
-        p = SchemeParams(n, k, k, args.ell)
-        coeffs = unit_coeffs(p)
+    """Turn the element flags into (params, coeffs, lam), which main()
+    stores as args.element for the command: --n; --k, or both --kr and
+    --kc; --ell or --coeffs; --lambda, an integer or 'degree'."""
+    if args.k is None and None not in (args.kr, args.kc):
+        kr, kc = args.kr, args.kc
+    elif args.k is not None and args.kr is None and args.kc is None:
+        kr = kc = args.k
+    else:
+        parser.error("give --k, or both --kr and --kc")
+    if (args.ell is None) == (args.coeffs is None):
+        parser.error("give one of --ell or --coeffs")
+    if args.lam == "degree":
+        if args.ell is None or kr != kc:
+            parser.error("--lambda degree requires --ell and kr == kc")
+        lam = degree(args.n, kr, args.ell)
     else:
         try:
-            coeffs = tuple(int(tok) for tok in args.coeffs.split(","))
+            lam = int(args.lam)
         except ValueError:
-            parser.error("--coeffs takes comma-separated integers")
-        if len(coeffs) != k + 1:
-            parser.error(f"--coeffs needs {k + 1} entries b0..b{k}")
-        p = SchemeParams(n, k, k, k)
+            parser.error("--lambda takes an integer or 'degree'")
+    if args.ell is not None:
+        p = SchemeParams(args.n, kr, kc, args.ell)
+        return p, unit_coeffs(p), lam
+    p = SchemeParams(args.n, kr, kc, kr)
+    try:
+        coeffs = tuple(int(tok) for tok in args.coeffs.split(","))
+    except ValueError:
+        parser.error("--coeffs takes comma-separated integers")
+    if len(coeffs) != kr + 1:
+        parser.error(f"--coeffs needs {kr + 1} entries b0..b{kr}")
     return p, coeffs, lam
 
 
@@ -83,21 +84,29 @@ def _print_blocks(result) -> None:
               f"multiplicity {b.multiplicity}, diagonal form [{delta}]")
 
 
+def _named(p, coeffs) -> str:
+    """How a text header names the matrix: ell=L when it is A_L alone, and
+    by its coefficients otherwise."""
+    return (f"ell={p.ell}" if coeffs == unit_coeffs(p)
+            else f"coeffs={list(coeffs)}")
+
+
 def cmd_smith_group(args, parser) -> int:
     p, coeffs, lam = args.element
     result = smith_group(p, coeffs, lam)
     if args.json:
         print(json.dumps(_group_json(result)))
     else:
-        print(f"n={p.n} k={p.kr} coeffs={list(coeffs)} lambda={lam}")
+        k = f"k={p.kr}" if p.square else f"kr={p.kr} kc={p.kc}"
+        print(f"n={p.n} {k} coeffs={list(coeffs)} lambda={lam}")
         _print_blocks(result)
         print(f"smith group: {result.group}")
     return 0
 
 
 def cmd_diagonal_form(args, parser) -> int:
-    p = SchemeParams(args.n, args.kr, args.kc, args.ell)
-    result = smith_group(p)
+    p, coeffs, lam = args.element
+    result = smith_group(p, coeffs, lam)
     entries = diagonal_form_entries(result)
     if args.json:
         out = _group_json(result)
@@ -105,7 +114,8 @@ def cmd_diagonal_form(args, parser) -> int:
                                    for e, m in entries if m]
         print(json.dumps(out))
     else:
-        print(f"n={p.n} kr={p.kr} kc={p.kc} ell={p.ell}")
+        shift = f" lambda={lam}" if lam else ""
+        print(f"n={p.n} kr={p.kr} kc={p.kc} {_named(p, coeffs)}{shift}")
         print("diagonal form entries (entry x multiplicity):")
         for e, m in entries:
             if m:
@@ -123,14 +133,13 @@ def cmd_ms(args, parser) -> int:
 
 
 def cmd_eigenvalues(args, parser) -> int:
-    lam = _parse_lambda(args, parser)
-    p = SchemeParams(args.n, args.k, args.k, args.ell)
-    spec = eigenvalues(p, lam=lam)
+    p, coeffs, lam = args.element
+    spec = eigenvalues(p, coeffs, lam)
     if args.json:
         print(json.dumps([s._asdict() for s in spec]))
     else:
-        print(f"spectrum of A - lambda*I for n={args.n} k={args.k} "
-              f"ell={args.ell} lambda={lam}")
+        print(f"spectrum of A - lambda*I for n={p.n} k={p.kr} "
+              f"{_named(p, coeffs)} lambda={lam}")
         for s in spec:
             print(f"  {s.eigenvalue} with multiplicity {s.multiplicity}")
         print(f"total multiplicity: {sum(s.multiplicity for s in spec)}")
@@ -152,114 +161,86 @@ def cmd_snf(args, parser) -> int:
     return 0
 
 
-def _add_common_element_flags(sp, with_json=True):
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--ell", type=int, default=None)
-    sp.add_argument("--coeffs", type=str, default=None,
-                    help="comma-separated b0,..,bk")
-    sp.add_argument("--lambda", dest="lam", default="0",
-                    help="integer shift, or 'degree'")
-    if with_json:
-        sp.add_argument("--json", action="store_true")
+# The flags of each command, as (flag, add_argument options) pairs.
+_ELEMENT = (("--n", dict(type=int, required=True)),
+            ("--k", dict(type=int, help="kr = kc = K, or give --kr and --kc")),
+            ("--kr", dict(type=int)), ("--kc", dict(type=int)),
+            ("--ell", dict(type=int, help="A_ELL alone, or give --coeffs")),
+            ("--coeffs", dict(help="comma-separated b0,..,bkr")),
+            ("--lambda", dict(dest="lam", default="0",
+                              help="integer shift, or 'degree'")))
+_JSON = (("--json", dict(action="store_true")),)
+_CAP = (("--cap", dict(type=positive_int, default=DEFAULT_CAP)),)
+
+# command -> (help, handler, flags); a handler named by a string is in
+# setsmith.commands
+_COMMANDS = {
+    "smith-group": ("Smith group via the small-block reduction",
+                    cmd_smith_group, _ELEMENT + _JSON),
+    "diagonal-form": ("diagonal form of a (possibly non-square) "
+                      "intersection matrix", cmd_diagonal_form,
+                      _ELEMENT + _JSON),
+    "ms": ("print the reduced blocks M_s", cmd_ms, _ELEMENT),
+    "eigenvalues": ("spectrum with multiplicities", cmd_eigenvalues,
+                    _ELEMENT + _JSON),
+    "oracle": ("brute-force group and agreement flag", "cmd_oracle",
+               _ELEMENT + _JSON + _CAP),
+    "verify": ("closed-form verification sweep", "cmd_verify",
+               (("--theorem", dict(required=True)),
+                ("--n-from", dict(type=int, required=True)),
+                ("--n-to", dict(type=int, required=True))) + _CAP + _JSON),
+    "conjecture": ("sweep the stacked-matrix unimodularity conjecture",
+                   "cmd_conjecture",
+                   (("--n-min", dict(type=int, default=1)),
+                    ("--n-max", dict(type=int, required=True)),
+                    ("--k-max", dict(type=int, required=True)),
+                    ("--log", dict(help="write machine-readable JSONL to "
+                                        "this file"))) + _JSON),
+    # --which A reads the element flags; the other kinds --k, --i, --j, --s
+    "export-matrix": ("write a matrix as plain text", "cmd_export_matrix",
+                      (("--which", dict(required=True, choices=[
+                          "A", "P", "W", "E", "Ptilde"])),) + _ELEMENT
+                      + tuple((flag, dict(type=int))
+                              for flag in ("--i", "--j", "--s"))
+                      + (("--out", {}),)),
+    "snf": ("Smith normal form of a plain-text matrix", cmd_snf,
+            (("--in", dict(dest="infile", required=True)),) + _JSON),
+    "bench": ("time the block reduction against the dense SNF", "cmd_bench",
+              _ELEMENT + (("--repeats", dict(type=positive_int, default=1)),)
+              + _CAP),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one named (all that main()
+    needs, and a seventh of the time)."""
     parser = argparse.ArgumentParser(
         prog="setsmith",
         description="Smith groups and diagonal forms of subset intersection "
                     "matrices, exactly.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("smith-group",
-                        help="Smith group via the small-block reduction")
-    _add_common_element_flags(sp)
-    sp.set_defaults(func=cmd_smith_group)
-
-    sp = sub.add_parser("diagonal-form",
-                        help="diagonal form of a (possibly non-square) "
-                             "intersection matrix")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--kr", type=int, required=True)
-    sp.add_argument("--kc", type=int, required=True)
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_diagonal_form)
-
-    sp = sub.add_parser("ms", help="print the reduced blocks M_s")
-    _add_common_element_flags(sp, with_json=False)
-    sp.set_defaults(func=cmd_ms)
-
-    sp = sub.add_parser("eigenvalues", help="spectrum with multiplicities")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", default="0",
-                    help="integer shift, or 'degree'")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_eigenvalues)
-
-    sp = sub.add_parser("oracle", help="brute-force group and agreement flag")
-    _add_common_element_flags(sp)
-    sp.add_argument("--cap", type=positive_int, default=DEFAULT_CAP)
-    sp.set_defaults(func="cmd_oracle")
-
-    sp = sub.add_parser("verify", help="closed-form verification sweep")
-    sp.add_argument("--theorem", required=True)
-    sp.add_argument("--n-from", type=int, required=True)
-    sp.add_argument("--n-to", type=int, required=True)
-    sp.add_argument("--cap", type=positive_int, default=DEFAULT_CAP)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func="cmd_verify")
-
-    sp = sub.add_parser("conjecture",
-                        help="sweep the stacked-matrix unimodularity conjecture")
-    sp.add_argument("--n-min", type=int, default=1)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--k-max", type=int, required=True)
-    sp.add_argument("--log", type=str, default=None,
-                    help="write machine-readable JSONL to this file")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func="cmd_conjecture")
-
-    sp = sub.add_parser("export-matrix", help="write a matrix as plain text")
-    sp.add_argument("--which", required=True,
-                    choices=["A", "P", "W", "E", "Ptilde"])
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--kr", type=int, default=None)
-    sp.add_argument("--kc", type=int, default=None)
-    sp.add_argument("--ell", type=int, default=None)
-    sp.add_argument("--i", type=int, default=None)
-    sp.add_argument("--j", type=int, default=None)
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--out", type=str, default=None)
-    sp.set_defaults(func="cmd_export_matrix")
-
-    sp = sub.add_parser("snf", help="Smith normal form of a plain-text matrix")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_snf)
-
-    sp = sub.add_parser("bench",
-                        help="time the block reduction against the dense SNF")
-    _add_common_element_flags(sp, with_json=False)
-    sp.add_argument("--repeats", type=positive_int, default=1)
-    sp.add_argument("--cap", type=positive_int, default=DEFAULT_CAP)
-    sp.set_defaults(func="cmd_bench")
-
+    for name, (text, handler, flags) in _COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=text)
+            for flag, options in flags:
+                sp.add_argument(flag, **options)
+            sp.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # a known command builds its parser alone; anything else (--help, no
+    # command, an unknown one) builds them all, so the usage lists them all
+    first = next(iter(sys.argv[1:] if argv is None else argv), None)
+    parser = build_parser(first if first in _COMMANDS else None)
     args = parser.parse_args(argv)
     handler = args.func
     if isinstance(handler, str):  # one of setsmith.commands, loaded now
         from . import commands
         handler = getattr(commands, handler)
     try:
-        if hasattr(args, "coeffs"):  # the flags of _add_common_element_flags
+        # the element commands, and export-matrix --which A
+        if hasattr(args, "coeffs") and getattr(args, "which", "A") == "A":
             args.element = _resolve_inputs(args, parser)
         return handler(args, parser)
     except (ExactError, ConstructionError, OSError) as exc:

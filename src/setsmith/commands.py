@@ -11,7 +11,7 @@ import json
 import sys
 from contextlib import nullcontext
 
-from .scheme import SchemeParams, in_range, smith_group
+from .scheme import in_range, smith_group
 
 
 def cmd_oracle(args, parser) -> int:
@@ -107,16 +107,15 @@ def cmd_conjecture(args, parser) -> int:
 
 
 def cmd_export_matrix(args, parser) -> int:
-    from .oracle import intersection_matrix
+    from .oracle import scheme_element_matrix
     from .proof import bier_p, e_matrices, w_matrix
     which = args.which
-    need = {"A": ("n", "kr", "kc", "ell"), "P": ("n", "k"),
-            "W": ("n", "i", "j"), "E": ("n", "s"), "Ptilde": ("n", "i", "j")}
-    for flag in need[which]:
+    need = {"P": ("k",), "W": ("i", "j"), "E": ("s",), "Ptilde": ("i", "j")}
+    for flag in need.get(which, ()):
         if getattr(args, flag) is None:
             parser.error(f"export-matrix --which {which} requires --{flag}")
-    if which == "A":
-        m = intersection_matrix(SchemeParams(args.n, args.kr, args.kc, args.ell))
+    if which == "A":  # main() resolved the element flags
+        m = scheme_element_matrix(*args.element)
     elif which == "P":
         m = bier_p(args.n, args.k)
     elif which == "W":

@@ -497,8 +497,12 @@ class AbelianGroup(_AbelianGroupFields):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AbelianGroup":
-        return group_from_diagonal([(int(v), 1) for v in d["invariant_factors"]]
-                                   + [(0, int(d["free_rank"]))])
+        values = [*d["invariant_factors"], d["free_rank"]]
+        for v in values:  # int() would truncate 2.9 and read "4" or True
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ExactError(f"group JSON holds a non-integer {v!r}")
+        return group_from_diagonal([(v, 1) for v in values[:-1]]
+                                   + [(0, values[-1])])
 
 
 def group_from_smith(snf: SmithForm, ambient_cols: int) -> AbelianGroup:

@@ -3,12 +3,16 @@ import os
 import subprocess
 import sys
 import time
+from math import comb, prod
 from pathlib import Path
 
 import pytest
 
 from setsmith.cli import build_parser, main
-from setsmith.exact import AbelianGroup, group_from_diagonal
+from setsmith.exact import (AbelianGroup, IntMatrix, group_from_diagonal,
+                            smith_normal_form)
+from setsmith.oracle import brute_force_group
+from setsmith.scheme import SchemeParams
 
 
 def run(capsys, *argv):
@@ -250,6 +254,130 @@ def test_bench_command(capsys):
     assert payload["agree"] is True
 
 
+ELEMENT_COMMANDS = ("smith-group", "diagonal-form", "ms", "eigenvalues",
+                    "oracle", "bench")
+
+
+def _group_printed(command, out, p):
+    """The Smith group that an element command's output states."""
+    if command == "ms":  # from the printed blocks and their multiplicities
+        diagonal, rank = [], 0
+        for part in out.split("M_")[1:]:
+            head, *rows = part.strip().splitlines()
+            mult = int(head.split("multiplicity ")[1].rstrip("):"))
+            snf = smith_normal_form(IntMatrix([[int(t) for t in row.split()]
+                                               for row in rows]))
+            diagonal += [(d, mult) for d in snf.invariant_factors]
+            rank += mult * snf.rank
+        return group_from_diagonal(diagonal + [(0, comb(p.n, p.kc) - rank)])
+    payload = json.loads(out)
+    if command == "oracle":
+        assert payload["agree"] is True
+        assert payload["structured"] == payload["oracle"]
+        return AbelianGroup.from_json_dict(payload["oracle"])
+    group = AbelianGroup.from_json_dict(payload["group"])
+    if command == "diagonal-form":  # the entries hold the torsion
+        entries = [(d["entry"], d["multiplicity"])
+                   for d in payload["diagonal_entries"]]
+        assert group_from_diagonal(entries).runs == group.runs
+    return group
+
+
+# (flags, params, coeffs, lam): non-square by --ell and by --coeffs, and a
+# square --kr/--kc combination with a shift
+ELEMENTS = [
+    (["--n", "9", "--kr", "2", "--kc", "3", "--ell", "1"],
+     SchemeParams(9, 2, 3, 1), (0, 1, 0), 0),
+    (["--n", "9", "--kr", "2", "--kc", "3", "--coeffs", "3,-1,2"],
+     SchemeParams(9, 2, 3, 2), (3, -1, 2), 0),
+    (["--n", "9", "--kr", "3", "--kc", "3", "--coeffs=1,0,2,3",
+      "--lambda=2"], SchemeParams(9, 3, 3, 3), (1, 0, 2, 3), 2),
+]
+
+
+@pytest.mark.parametrize("flags,p,coeffs,lam", ELEMENTS)
+@pytest.mark.parametrize("command", ELEMENT_COMMANDS)
+def test_element_commands_take_one_flag_set(capsys, command, flags, p,
+                                            coeffs, lam):
+    json_flag = ["--json"] if command in ("smith-group", "diagonal-form",
+                                          "eigenvalues", "oracle") else []
+    code, out, err = run(capsys, command, *flags, *json_flag)
+    want = brute_force_group(p, coeffs, lam)
+    if command == "eigenvalues":
+        if not p.square:  # the library refuses: a spectrum needs kr == kc
+            assert code == 1 and out == "" and "kr == kc" in err
+            return
+        spec = json.loads(out)
+        assert code == 0
+        assert sum(s["multiplicity"] for s in spec) == comb(p.n, p.kr)
+        # every eigenvalue is nonzero here, so they multiply to the order
+        assert want.free_rank == 0
+        assert prod(abs(s["eigenvalue"]) ** s["multiplicity"]
+                    for s in spec) == want.order()
+        return
+    assert code == 0, err
+    assert _group_printed(command, out, p) == want
+
+
+def test_element_flags_refused(capsys):
+    base = ["--n", "9"]
+    exit_2 = [
+        ["--k", "3", "--kr", "3", "--ell", "1"],          # --k with --kr
+        ["--k", "3", "--kc", "3", "--ell", "1"],          # --k with --kc
+        ["--ell", "1"],                                   # no size at all
+        ["--kr", "2", "--ell", "1"],                      # --kr alone
+        ["--k", "3", "--ell", "1", "--coeffs", "0,1,0,0"],
+        ["--k", "3"],                                     # no --ell/--coeffs
+        ["--kr", "2", "--kc", "3", "--coeffs", "1,2,3,4"],  # kr+1 = 3
+        ["--k", "3", "--coeffs", "0,1,0,0", "--lambda", "degree"],
+        ["--kr", "2", "--kc", "3", "--ell", "1", "--lambda", "degree"],
+        ["--k", "3", "--ell", "1", "--lambda", "x"],
+    ]
+    exit_1 = [  # the library's ParameterError
+        ["--kr", "2", "--kc", "3", "--ell", "1", "--lambda", "1"],
+        ["--kr", "2", "--kc", "3", "--coeffs", "1,2,3", "--lambda", "-1"],
+    ]
+    for command in ELEMENT_COMMANDS:
+        for flags in exit_2:
+            with pytest.raises(SystemExit) as err:
+                main([command, *base, *flags])
+            assert err.value.code == 2, (command, flags)
+            capsys.readouterr()
+        for flags in exit_1:
+            code, out, err = run(capsys, command, *base, *flags)
+            assert code == 1 and out == "", (command, flags)
+            assert err.startswith("error:") and "square" in err
+    code, out, err = run(capsys, "eigenvalues", *base, "--kr", "2", "--kc",
+                         "3", "--ell", "1")
+    assert code == 1 and err == (
+        "error: eigenvalues need square parameters kr == kc\n")
+
+
+def test_parser_built_for_the_named_command_only(capsys):
+    names = ["smith-group", "diagonal-form", "ms", "eigenvalues", "oracle",
+             "verify", "conjecture", "export-matrix", "snf", "bench"]
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert list(subparsers) == names
+    one = build_parser("ms")._subparsers._group_actions[0].choices
+    assert list(one) == ["ms"]
+    # --help, no command and an unknown one list all ten
+    for argv, code in (["--help"], 0), ([], 2), (["nope"], 2):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == code
+        out = capsys.readouterr()
+        assert "{" + ",".join(names) + "}" in out.out + out.err
+    with pytest.raises(SystemExit) as err:
+        main(["diagonal-form", "--help"])
+    assert err.value.code == 0
+    usage = capsys.readouterr().out
+    assert usage.startswith("usage: setsmith diagonal-form")
+    assert [line.split()[0].rstrip(",") for line in usage.splitlines()
+            if line.startswith("  -")] == [
+        "-h", "--n", "--k", "--kr", "--kc", "--ell", "--coeffs", "--lambda",
+        "--json"]
+
+
 def test_argument_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["smith-group", "--n", "12", "--k", "3"])  # no --ell/--coeffs
@@ -324,8 +452,12 @@ def test_block_commands_load_neither_numpy_nor_valence(tmp_path):
         ["smith-group", "--n", "10", "--k", "3", "--coeffs", "5,-7,9,11",
          "--lambda", "3", "--json"],
         ["diagonal-form", "--n", "10", "--kr", "2", "--kc", "3", "--ell", "1"],
+        ["diagonal-form", "--n", "10", "--kr", "2", "--kc", "3",
+         "--coeffs", "3,-1,2"],
         ["ms", "--n", "12", "--k", "3", "--ell", "2"],
         ["eigenvalues", "--n", "12", "--k", "3", "--ell", "2"],
+        ["eigenvalues", "--n", "12", "--k", "3", "--coeffs", "1,0,2,3",
+         "--lambda", "2"],
         ["snf", "--in", str(path)],
         # the dense oracle loads numpy: the control
         ["oracle", "--n", "8", "--k", "2", "--ell", "1"],

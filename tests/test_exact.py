@@ -719,6 +719,19 @@ def test_group_json_roundtrip():
     assert AbelianGroup.from_json_dict(g.to_json_dict()) == g
 
 
+@pytest.mark.parametrize("d", [
+    {"invariant_factors": [2.9, 6], "free_rank": 1.5},
+    {"invariant_factors": ["4"], "free_rank": True},
+    {"invariant_factors": [2, 6], "free_rank": 1.0},
+    {"invariant_factors": [True, 6], "free_rank": 0},
+    {"invariant_factors": [4], "free_rank": None},
+])
+def test_group_json_refuses_non_integers(d):
+    # int() read the first two as Z/2 + Z/6 + Z and Z/4 + Z
+    with pytest.raises(ExactError, match="non-integer"):
+        AbelianGroup.from_json_dict(d)
+
+
 def test_matrix_text_roundtrip():
     for m in [IntMatrix([[1, -2], [3, 4]]), IntMatrix.zeros(0, 5),
               IntMatrix.zeros(3, 0), IntMatrix([[10 ** 40]])]:

@@ -134,15 +134,18 @@ def cmd_ms(args, parser) -> int:
 
 def cmd_eigenvalues(args, parser) -> int:
     p, coeffs, lam = args.element
-    spec = eigenvalues(p, coeffs, lam)
+    spec: dict[int, int] = {}  # equal ones merged, in order of first appearance
+    for e, m in eigenvalues(p, coeffs, lam):
+        spec[e] = spec.get(e, 0) + m
     if args.json:
-        print(json.dumps([s._asdict() for s in spec]))
+        print(json.dumps([{"eigenvalue": e, "multiplicity": m}
+                          for e, m in spec.items()]))
     else:
         print(f"spectrum of A - lambda*I for n={p.n} k={p.kr} "
               f"{_named(p, coeffs)} lambda={lam}")
-        for s in spec:
-            print(f"  {s.eigenvalue} with multiplicity {s.multiplicity}")
-        print(f"total multiplicity: {sum(s.multiplicity for s in spec)}")
+        for e, m in spec.items():
+            print(f"  {e} with multiplicity {m}")
+        print(f"total multiplicity: {sum(spec.values())}")
     return 0
 
 

@@ -67,7 +67,7 @@ class IntMatrix:
         # no array can exist before numpy is loaded
         np = sys.modules.get("numpy")
         if np is not None and isinstance(data, np.ndarray):
-            data = _integer_array(data)
+            data = _as_array(data)
             rows, cols = data.shape
             data = data.tolist()
         else:
@@ -142,7 +142,7 @@ class IntMatrix:
         return IntMatrix([[c * v for v in row] for row in self.data],
                          cols=self.cols)
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+    def __matmul__(self, other: IntMatrix | np.ndarray) -> "IntMatrix":
         return IntMatrix(_product(self, other))
 
     def __eq__(self, other) -> bool:
@@ -193,45 +193,49 @@ class IntMatrix:
         return cls(data)
 
 
-def _integer_array(a: np.ndarray) -> np.ndarray:
-    """a, if its dtype is a 64-bit integer, or object holding Python ints; a
-    bool or narrower integer array as int64, which the valence lane takes;
-    an object array of bools and numpy integers as one of Python ints.  Any
-    other array is refused: a float or complex entry need not be an
-    integer, and the reduction does no rounding."""
-    kind = a.dtype.kind
+def _as_array(m: IntMatrix | np.ndarray) -> np.ndarray:
+    """m as an exact integer array, the one conversion from an IntMatrix:
+    int64 below 2**62 in absolute value, dtype object (Python ints) past it.
+    An array passes if its dtype is a 64-bit integer, or object holding
+    Python ints; bool and narrower integers become int64, and an object
+    array of bools and numpy integers one of Python ints.  Other dtypes are
+    refused: a float need not be an integer, and nothing is rounded."""
+    import numpy as np
+    if isinstance(m, IntMatrix):
+        dtype = np.int64 if m.max_abs() < _INT64_CEILING else object
+        return np.array(m.data, dtype=dtype).reshape(m.rows, m.cols)
+    kind = m.dtype.kind
     if kind not in "biuO":
-        raise ExactError(f"expected an integer array, got dtype {a.dtype}")
+        raise ExactError(f"expected an integer array, got dtype {m.dtype}")
     if kind != "O":
-        return a.astype("int64") if a.dtype.itemsize < 8 else a
-    entries = a.ravel().tolist()
+        return m.astype(np.int64) if m.dtype.itemsize < 8 else m
+    entries = m.ravel().tolist()
     if all(type(v) is int for v in entries):
-        return a
-    np = sys.modules["numpy"]
+        return m
     for v in entries:
         if not isinstance(v, (int, np.integer)):
             raise ExactError("expected an integer array, got an object array "
                              f"holding {type(v).__name__}")
-    return np.array([int(v) for v in entries], dtype=object).reshape(a.shape)
+    return np.array([int(v) for v in entries], dtype=object).reshape(m.shape)
 
 
-def _product(a: IntMatrix, b: IntMatrix) -> np.ndarray:
+def _product(a: IntMatrix | np.ndarray, b: IntMatrix | np.ndarray) -> np.ndarray:
     """a @ b as an exact integer array.  cols * max|a| * max|b| bounds every
     partial sum of every dot product: below 2**53 they are all integers
     that float64 holds exactly, so BLAS multiplies (numpy's int64 product
     has no BLAS); below 2**62 the product is int64, and past that numpy
     multiplies Python ints (dtype object)."""
-    if a.cols != b.rows:
-        raise ExactError("shape mismatch in product")
     import numpy as np
-    bound = a.cols * a.max_abs() * b.max_abs()
-    if not bound:  # a factor with no nonzero entry, or no entries
-        return np.zeros((a.rows, b.cols), dtype=np.int64)
-    if bound < 1 << 53:
-        return (np.array(a.data, dtype=np.float64)
-                @ np.array(b.data, dtype=np.float64)).astype(np.int64)
-    dtype = np.int64 if bound < _INT64_CEILING else object
-    return np.array(a.data, dtype=dtype) @ np.array(b.data, dtype=dtype)
+    a, b = _as_array(a), _as_array(b)
+    if a.shape[1] != b.shape[0]:
+        raise ExactError("shape mismatch in product")
+    # in Python ints: abs() of an int64 -2**63 overflows
+    top = [max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (a, b)]
+    bound = a.shape[1] * top[0] * top[1]
+    dtype = (np.float64 if bound < 1 << 53
+             else np.int64 if bound < _INT64_CEILING else object)
+    out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return out.astype(np.int64) if dtype is np.float64 else out
 
 
 def stack(parts) -> IntMatrix:
@@ -370,24 +374,15 @@ def _eliminate(a: list[list[int]], m: int, n: int) -> list[int]:
 
 
 def _diagonal_values(m: IntMatrix | np.ndarray) -> list[int]:
-    """The invariant factors of m, positive and in divisibility-chain
-    order, from either lane.
-
-    m is an IntMatrix, or a numpy array of an integer dtype (see
-    _integer_array).  Matrices with fewer than _LIST_LANE_BELOW rows or
-    columns, and those with an entry at or above _INT64_CEILING, go to the
-    list lane.  Any other int64 one goes to the valence lane
-    (valence.valence_finish), and one it refuses goes to the list lane too.
+    """The invariant factors of m, an IntMatrix or integer array (see
+    _as_array), positive and in divisibility-chain order.  Matrices with
+    fewer than _LIST_LANE_BELOW rows or columns, or an entry at or above
+    _INT64_CEILING, go to the list lane; any other int64 one to the valence
+    lane (valence.valence_finish), and to the list lane if that refuses it.
     """
-    if isinstance(m, IntMatrix):
-        if (min(m.rows, m.cols) < _LIST_LANE_BELOW
-                or m.max_abs() >= _INT64_CEILING):
-            return _eliminate([list(row) for row in m.data], m.rows, m.cols)
-        # numpy and valence load on first dense use (module docstring)
-        import numpy as np
-        m = np.array(m.data, dtype=np.int64)
-    else:
-        m = _integer_array(m)
+    if isinstance(m, IntMatrix) and min(m.rows, m.cols) < _LIST_LANE_BELOW:
+        return _eliminate([list(row) for row in m.data], m.rows, m.cols)
+    m = _as_array(m)
     if (m.dtype == "int64" and min(m.shape) >= _LIST_LANE_BELOW
             and abs(m).max() < _INT64_CEILING):
         from .valence import valence_finish
@@ -401,13 +396,14 @@ def smith_normal_form(m: IntMatrix | np.ndarray,
                       with_transforms: bool = False) -> SmithForm:
     """The unique nonnegative divisibility-chain diagonal form of m.
 
-    Without transforms, m may also be a numpy array (see _diagonal_values).
-    With transforms, also returns unimodular left (rows x rows) and right
+    m is an IntMatrix or an integer array (see _as_array).  With
+    transforms, also returns unimodular left (rows x rows) and right
     (cols x cols) with left @ m @ right equal to the padded diagonal.
     """
     if not with_transforms:
         diag = _diagonal_values(m)
         return SmithForm(tuple(diag), len(diag))
+    m = m if isinstance(m, IntMatrix) else IntMatrix(m)
     rows, cols = m.rows, m.cols
     # reduce [m | I] stacked over [I]: the row operations build the left
     # transform beside m, the column operations the right one below it

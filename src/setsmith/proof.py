@@ -18,11 +18,11 @@ from math import comb, gcd, prod
 
 import numpy as np
 
-from .exact import (_INT64_CEILING, ConstructionError, ExactError, IntMatrix,
+from .exact import (ConstructionError, ExactError, IntMatrix, _as_array,
                     _product, smith_normal_form)
-from .oracle import _meets, intersection_matrix
+from .oracle import _meets, _scheme_array
 from .scheme import (ParameterError, SchemeParams, _refuse_oversized,
-                     c_coeff, in_range)
+                     c_coeff, in_range, unit_coeffs)
 from .subsets import STANDARD, binomial, enumerate_subsets, mu
 
 
@@ -34,14 +34,11 @@ def index(m: IntMatrix) -> int:
     return prod(smith_normal_form(m).invariant_factors, start=1)
 
 
-def is_unimodular(m: IntMatrix) -> bool:
-    """True iff m is square with determinant +-1."""
-    if m.rows != m.cols:
-        return False
-    if m.rows == 0:
-        return True
-    snf = smith_normal_form(m)
-    return snf.rank == m.rows and all(d == 1 for d in snf.invariant_factors)
+def is_unimodular(m: IntMatrix | np.ndarray) -> bool:
+    """True iff m, an IntMatrix or array, is square with determinant +-1."""
+    a = _as_array(m)
+    rows, cols = a.shape
+    return rows == cols and smith_normal_form(a).invariant_factors == (1,) * rows
 
 
 def _bareiss_det(grid: list[list[int]]) -> int:
@@ -130,8 +127,9 @@ def _last_nonzero_columns(a: np.ndarray) -> list[int] | None:
     return found[::-1] if len(found) == rows else None
 
 
-def unimodular_completion(m: IntMatrix) -> IntMatrix:
-    """Extend a full-row-rank index-1 matrix to a square unimodular one.
+def unimodular_completion(m: IntMatrix | np.ndarray) -> IntMatrix:
+    """Extend a full-row-rank index-1 matrix, an IntMatrix or an integer
+    array, to a square unimodular IntMatrix.
 
     The rows of m come first, then the unit rows e_j, in column order, for
     every column j outside K: the r columns that hold the last nonzero of
@@ -143,16 +141,15 @@ def unimodular_completion(m: IntMatrix) -> IntMatrix:
     exists exactly when m has full row rank and index 1, and ExactError is
     raised otherwise.
     """
-    r, c = m.rows, m.cols
+    a = _as_array(m)
+    r, c = a.shape
     if r > c:
         raise ExactError("completion needs rows <= cols")
-    dtype = np.int64 if m.max_abs() < _INT64_CEILING else object
-    a = np.array(m.data, dtype=dtype).reshape(r, c)
     keep = _last_nonzero_columns(a)
-    if keep is not None and is_unimodular(m.submatrix(range(r), keep)):
-        if r == c:
+    if keep is not None and is_unimodular(a[:, keep]):
+        if r == c and isinstance(m, IntMatrix):
             return m
-        out = np.zeros((c, c), dtype=dtype)
+        out = np.zeros((c, c), dtype=a.dtype)
         out[:r] = a
         # the unit rows, in column order, of the columns outside keep
         out[np.arange(r, c), np.setdiff1d(np.arange(c), keep)] = 1
@@ -161,11 +158,11 @@ def unimodular_completion(m: IntMatrix) -> IntMatrix:
     # Smith-transform fallback: with L m R = [I | 0], m stacked over the
     # bottom rows of R^{-1} is blockdiag(L^{-1}, I) R^{-1}, a unimodular
     # product.
-    snf = smith_normal_form(m, with_transforms=True)
+    snf = smith_normal_form(a, with_transforms=True)
     if snf.rank != r or any(d != 1 for d in snf.invariant_factors):
         raise ExactError("completion needs full row rank and index 1")
     right_inv = unimodular_inverse(snf.right)
-    candidate = IntMatrix(m.data + right_inv.data[r:])
+    candidate = IntMatrix(a.tolist() + right_inv.data[r:])
     if not is_unimodular(candidate):
         raise ConstructionError("unimodular completion failed")
     return candidate
@@ -177,7 +174,7 @@ def unimodular_completion(m: IntMatrix) -> IntMatrix:
 def _inclusion(rows, cols) -> IntMatrix:
     """Labelled 0/1 matrix, 1 where the row subset is inside the column one."""
     inside = _meets(rows, cols) == np.array([len(a) for a in rows])[:, None]
-    return IntMatrix(inside.astype(np.int64), row_labels=rows, col_labels=cols)
+    return IntMatrix(inside, row_labels=rows, col_labels=cols)
 
 
 def bier_p(n: int, k: int) -> IntMatrix:
@@ -271,7 +268,7 @@ def _extend_recursive(n: int, es: list[IntMatrix], k_max: int) -> None:
             raise ConstructionError(
                 f"row scaling of E_{s} W_{{{s},{s + 1}}} is not exact "
                 f"at n={n}; the diagonalization guarantee is violated")
-        es.append(unimodular_completion(IntMatrix(ew // d)))
+        es.append(unimodular_completion(ew // d))
 
 
 def e_matrices(n: int, k_max: int) -> list[IntMatrix]:
@@ -297,16 +294,14 @@ def triangular_check(p: SchemeParams) -> bool:
     assembled from f_coeff(i, j) * W_{i,j} blocks.  U is built at once: the
     inclusion table of the standard subsets of size at most kr into those
     of size at most kc, each 1 scaled by f_coeff at the two sizes."""
-    a = intersection_matrix(p)
+    a = _scheme_array(p, unit_coeffs(p))
     pr = bier_p(p.n, p.kr)
     pc = pr if p.kc == p.kr else bier_p(p.n, p.kc)
     rows = enumerate_subsets(p.n, p.kr, STANDARD, up_to=True)
     cols = enumerate_subsets(p.n, p.kc, STANDARD, up_to=True)
     row_size = np.array([len(s) for s in rows])[:, None]
     col_size = np.array([len(s) for s in cols])
-    table = [[f_coeff(i, j, p) for j in range(p.kc + 1)]
-             for i in range(p.kr + 1)]
-    wide = max(abs(v) for row in table for v in row) >= _INT64_CEILING
-    f = np.array(table, dtype=object if wide else np.int64)
+    f = _as_array(IntMatrix([[f_coeff(i, j, p) for j in range(p.kc + 1)]
+                             for i in range(p.kr + 1)]))
     u = np.where(_meets(rows, cols) == row_size, f[row_size, col_size], 0)
-    return a @ pc == pr @ IntMatrix(u)
+    return np.array_equal(_product(a, pc), _product(pr, u))

@@ -243,7 +243,9 @@ def diagonal_form_entries(result: SmithGroupResult) -> list[tuple[int, int]]:
 
 def eigenvalues(p: SchemeParams, coeffs=None, lam: int = 0) -> list[SpectrumEntry]:
     """Spectrum sum_l b_l f_i(i) - lam with multiplicity mu_i, i = 0..k: the
-    corner entry of each M_i."""
+    corner entry of each M_i.  One entry per i, even where two blocks share
+    an eigenvalue: entry i is that of the i-th eigenspace, and closed forms
+    such as Eberlein's are matched index by index (the CLI merges them)."""
     if not p.square:
         raise ParameterError("eigenvalues need square parameters kr == kc")
     return [SpectrumEntry(m.entries.data[0][0], mu(p.n, m.s))

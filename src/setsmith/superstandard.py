@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb, prod
 from typing import NamedTuple
 
-from .exact import IntMatrix, smith_normal_form, stack
+from .exact import IntMatrix, smith_normal_form
 from .proof import _inclusion, d_matrix, w_matrix
 from .scheme import ParameterError, _refuse_oversized, in_range
 from .subsets import (STANDARD, SUPER_STANDARD, enumerate_subsets,
@@ -31,8 +31,9 @@ def w_tilde(n: int, i: int, j: int) -> IntMatrix:
 
 
 def p_tilde(n: int, i: int, j: int) -> IntMatrix:
-    """Stack of w_tilde(n, s, j) for s = 0..i: rows are super-standard
-    subsets of size <= i (ascending size, then lexicographic).
+    """Inclusion matrix of super-standard subsets of size <= i (ascending
+    size, then lexicographic) into standard j-subsets: the stack of
+    w_tilde(n, s, j) for s = 0..i.
 
     Refuses with SizeCapExceeded, before enumerating, when the standard
     subsets of size <= i (a superset of the rows: their count is
@@ -43,7 +44,8 @@ def p_tilde(n: int, i: int, j: int) -> IntMatrix:
         raise ParameterError("need n, i, j >= 0")
     _refuse_oversized(f"Ptilde({n},{i},{j})", comb(n, min(i, (n + 1) // 2)),
                       mu(n, j))
-    return stack([w_tilde(n, s, j) for s in range(i + 1)])
+    return _inclusion(enumerate_subsets(n, i, SUPER_STANDARD, up_to=True),
+                      enumerate_subsets(n, j, STANDARD))
 
 
 class ConjectureReport(NamedTuple):

@@ -114,6 +114,23 @@ def test_eigenvalues_command(capsys):
         for e, m in [(0, 1), (-12, 11), (-22, 54), (-30, 154)]]
 
 
+def test_eigenvalues_command_merges_equal_eigenvalues(capsys):
+    # blocks 1 and 2 share the eigenvalue 9 (multiplicities 8 and 27)
+    argv = ["eigenvalues", "--n", "9", "--k", "3", "--coeffs", "1,0,2,3",
+            "--lambda", "2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1:] == ["  57 with multiplicity 1",
+                                    "  9 with multiplicity 35",
+                                    "  -6 with multiplicity 48",
+                                    "total multiplicity: 84"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out) == [
+        {"eigenvalue": e, "multiplicity": m}
+        for e, m in [(57, 1), (9, 35), (-6, 48)]]
+
+
 def test_diagonal_form_command(capsys):
     code, out, _ = run(capsys, "diagonal-form", "--n", "9", "--kr", "2",
                        "--kc", "3", "--ell", "1", "--json")

@@ -9,6 +9,7 @@ from setsmith.exact import (_INT64_CEILING, _LIST_LANE_BELOW, AbelianGroup,
                             ExactError, IntMatrix, SmithForm, _eliminate,
                             group_from_diagonal, group_from_smith,
                             smith_normal_form, stack)
+from setsmith import proof
 from setsmith.oracle import _scheme_array, scheme_element_matrix
 from setsmith.proof import (_bareiss_det, gcd_minors, index, is_unimodular,
                             unimodular_completion, unimodular_inverse)
@@ -536,6 +537,26 @@ def test_array_entry_points_take_integer_dtypes_only(monkeypatch):
     assert got == smith_normal_form(wide)
 
 
+def test_arrays_take_the_transform_and_product_paths():
+    rng = random.Random(11)
+    for rows, cols in [(1, 1), (2, 3), (4, 4), (5, 2), (0, 3)]:
+        m = rand_matrix(rng, rows, cols)
+        for a in (_array(m).reshape(rows, cols),
+                  np.array(m.data, dtype=np.int16).reshape(rows, cols)):
+            assert (smith_normal_form(a, with_transforms=True)
+                    == smith_normal_form(m, with_transforms=True))
+    with pytest.raises(ExactError, match="integer array"):
+        smith_normal_form(np.array([[1.0, 2.0]]), with_transforms=True)
+    a = np.array([[3, -1], [2**40, 5]])
+    assert IntMatrix([[1, 0], [0, 1]]) @ a == IntMatrix(a)
+    assert IntMatrix([[2, 1]]) @ a == IntMatrix([[6 + 2**40, 3]])
+    # the bound sees |-2**63|, so the sum is not rounded in float64
+    low = np.array([[-2**63], [1]])
+    assert (IntMatrix([[1, 1]]) @ low).data == [[1 - 2**63]]
+    with pytest.raises(ExactError, match="shape"):
+        IntMatrix([[1, 2, 3]]) @ a
+
+
 def test_snf_big_entries_exact_lane():
     # entries far beyond int64 force the arbitrary-precision path
     big = 10 ** 30
@@ -625,6 +646,34 @@ def test_completion_needs_smith_fallback():
     c = unimodular_completion(IntMatrix([[2, 3]]))
     assert c.data[0] == [2, 3]
     assert abs(_bareiss_det(c.data)) == 1
+
+
+def test_completion_takes_arrays(monkeypatch):
+    rng = random.Random(8)
+    cases = [IntMatrix([[1, 0, 0], [0, 1, 0]]), IntMatrix([[2, 1, 0]]),
+             IntMatrix([[1, 7], [0, 1]]), IntMatrix([[2, 3]]),
+             IntMatrix.zeros(0, 3)]
+    while len(cases) < 25:
+        m = rand_matrix(rng, rng.randint(1, 4), 6, -4, 4)
+        if smith_normal_form(m).invariant_factors == (1,) * m.rows:
+            cases.append(m)
+    for m in cases:
+        want = unimodular_completion(m)
+        for a in (_array(m).reshape(m.rows, m.cols),
+                  np.array(m.data, dtype=object).reshape(m.rows, m.cols)):
+            assert unimodular_completion(a) == want
+    # past 2**62 the conversion holds Python ints (dtype object)
+    for row in ([2 ** 62 + 1, 1], [2 ** 70 + 1, 2 ** 70]):
+        want = unimodular_completion(IntMatrix([row]))
+        assert want.data[0] == row and is_unimodular(want)
+        assert unimodular_completion(np.array([row], dtype=object)) == want
+    # [[2, 3]] given as an array still needs the Smith transforms
+    calls = []
+    inverse = proof.unimodular_inverse
+    monkeypatch.setattr(proof, "unimodular_inverse",
+                        lambda m: calls.append(m) or inverse(m))
+    c = unimodular_completion(np.array([[2, 3]]))
+    assert calls and c.data[0] == [2, 3] and is_unimodular(c)
 
 
 def test_completion_random_index_one_inputs():

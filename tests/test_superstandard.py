@@ -1,5 +1,6 @@
 import pytest
 
+from setsmith.exact import stack
 from setsmith.proof import e_matrices, is_unimodular
 from setsmith.scheme import ParameterError
 from setsmith.subsets import SUPER_STANDARD, enumerate_subsets, mu
@@ -48,6 +49,18 @@ def test_p_tilde_trivial_and_square():
     assert p_tilde(7, 0, 0).data == [[1]]
     m = p_tilde(12, 3, 3)
     assert m.shape() == (154, 154)
+
+
+def test_p_tilde_is_the_stack_of_w_tilde():
+    # p_tilde is one inclusion over the super-standard subsets of size <= i
+    for n in range(14):
+        for i in range(n // 2 + 2):
+            for j in range(n // 2 + 2):
+                got = p_tilde(n, i, j)
+                want = stack([w_tilde(n, s, j) for s in range(i + 1)])
+                assert got == want
+                assert got.row_labels == want.row_labels
+                assert got.col_labels == want.col_labels
 
 
 def test_p_tilde_row_counts_match_mu():

@@ -384,7 +384,7 @@ def _diagonal_values(m: IntMatrix | np.ndarray) -> list[int]:
         return _eliminate([list(row) for row in m.data], m.rows, m.cols)
     m = _as_array(m)
     if (m.dtype == "int64" and min(m.shape) >= _LIST_LANE_BELOW
-            and abs(m).max() < _INT64_CEILING):
+            and -_INT64_CEILING < m.min() and m.max() < _INT64_CEILING):
         from .valence import valence_finish
         diag = valence_finish(m)
         if diag is not None:

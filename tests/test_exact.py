@@ -255,6 +255,10 @@ def test_int64_lane_hands_off_at_the_ceiling(monkeypatch):
     assert at.max_abs() == _INT64_CEILING
     _lane_factors(at)
     assert len(offered) == 2
+    # -2**63 fits int64, but its absolute value does not
+    low = _ceiling_case(-2 ** 63, lower)
+    assert smith_normal_form(_array(low)) == smith_normal_form(low)
+    assert len(offered) == 2
 
 
 def test_int64_lane_bound_follows_a_long_chain_on_one_pivot(monkeypatch):

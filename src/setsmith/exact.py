@@ -1,17 +1,16 @@
 """Exact integer matrices, Smith normal form, and abelian group invariants.
 
 Everything here is exact.  The Smith reduction has two lanes.  A matrix
-with fewer than _LIST_LANE_BELOW rows or columns (every M_s block), or
-with an entry of 2**62 or more, is reduced on lists of Python integers,
-which cannot overflow.  Any other one (the dense oracle's matrices,
-handed over as int64 arrays) goes to the valence lane
-(setsmith.valence), which works modulo word-size
-moduli bounded by the valence of the matrix, or of its Gram matrix when
-it is not square, and checks its minimal polynomial exactly.  A matrix
-the valence lane refuses is reduced on the list lane.  Both lanes return
-the invariant factors, in divisibility-chain order.  Transforms are always
-computed on the list lane.  Matrix products take float64 or int64 only
-when no partial sum can be rounded or overflow.
+with fewer than _LIST_LANE_BELOW rows or columns (every M_s block) is
+reduced on lists of Python integers, which cannot overflow.  Any other
+one (the dense oracle's matrices) goes to the valence lane
+(setsmith.valence), which works modulo moduli bounded by the valence of
+the matrix, or of its Gram matrix when it is not square, and checks its
+minimal polynomial exactly.  A matrix the valence lane refuses is reduced
+on the list lane.  Both lanes return the invariant factors, in
+divisibility-chain order.  Transforms are always computed on the list
+lane.  Arrays are int64 only below _INT64_CEILING, and matrix products
+take float64 or int64 only when no partial sum can be rounded or overflow.
 
 numpy and setsmith.valence load on first dense use: only the functions
 that build or reduce an array import them, so the block reduction, group
@@ -29,10 +28,9 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
-# The valence lane takes int64 input with every entry below this, so that
-# every entry and its absolute value fit, and refuses a non-square r x c
-# matrix (r <= c) unless c * max|entry|**2, a bound on every entry of its
-# Gram matrix, is below it too.
+# An exact integer array is int64 only with every entry below this in
+# absolute value, so that every entry, its negation and the sum of two fit;
+# past it, dtype object (Python ints).
 _INT64_CEILING = 1 << 62
 
 # Matrices with fewer rows or columns than this skip the valence lane.
@@ -194,29 +192,34 @@ class IntMatrix:
 
 
 def _as_array(m: IntMatrix | np.ndarray) -> np.ndarray:
-    """m as an exact integer array, the one conversion from an IntMatrix:
-    int64 below 2**62 in absolute value, dtype object (Python ints) past it.
-    An array passes if its dtype is a 64-bit integer, or object holding
-    Python ints; bool and narrower integers become int64, and an object
-    array of bools and numpy integers one of Python ints.  Other dtypes are
+    """m as an exact integer array, the one conversion from an IntMatrix.
+    An IntMatrix, or an array of any integer or bool dtype, is int64 when
+    every entry is below _INT64_CEILING in absolute value, and dtype object
+    (Python ints) otherwise.  An object array passes if it holds Python
+    ints; its bools and numpy integers become Python ints.  Other dtypes are
     refused: a float need not be an integer, and nothing is rounded."""
     import numpy as np
     if isinstance(m, IntMatrix):
-        dtype = np.int64 if m.max_abs() < _INT64_CEILING else object
-        return np.array(m.data, dtype=dtype).reshape(m.rows, m.cols)
-    kind = m.dtype.kind
-    if kind not in "biuO":
-        raise ExactError(f"expected an integer array, got dtype {m.dtype}")
-    if kind != "O":
-        return m.astype(np.int64) if m.dtype.itemsize < 8 else m
-    entries = m.ravel().tolist()
-    if all(type(v) is int for v in entries):
-        return m
-    for v in entries:
-        if not isinstance(v, (int, np.integer)):
-            raise ExactError("expected an integer array, got an object array "
-                             f"holding {type(v).__name__}")
-    return np.array([int(v) for v in entries], dtype=object).reshape(m.shape)
+        top, data, shape = m.max_abs(), m.data, (m.rows, m.cols)
+    else:
+        kind = m.dtype.kind
+        if kind not in "biuO":
+            raise ExactError(f"expected an integer array, got dtype {m.dtype}")
+        if kind == "O":
+            entries = m.ravel().tolist()
+            if all(type(v) is int for v in entries):
+                return m
+            for v in entries:
+                if not isinstance(v, (int, np.integer)):
+                    raise ExactError("expected an integer array, got an object "
+                                     f"array holding {type(v).__name__}")
+            return np.array([int(v) for v in entries],
+                            dtype=object).reshape(m.shape)
+        # in Python ints: abs() of an int64 -2**63 overflows
+        top = max(int(m.max(initial=0)), -int(m.min(initial=0)))
+        data, shape = m, m.shape
+    dtype = np.int64 if top < _INT64_CEILING else object
+    return np.asarray(data, dtype=dtype).reshape(shape)
 
 
 def _product(a: IntMatrix | np.ndarray, b: IntMatrix | np.ndarray) -> np.ndarray:
@@ -229,7 +232,6 @@ def _product(a: IntMatrix | np.ndarray, b: IntMatrix | np.ndarray) -> np.ndarray
     a, b = _as_array(a), _as_array(b)
     if a.shape[1] != b.shape[0]:
         raise ExactError("shape mismatch in product")
-    # in Python ints: abs() of an int64 -2**63 overflows
     top = [max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (a, b)]
     bound = a.shape[1] * top[0] * top[1]
     dtype = (np.float64 if bound < 1 << 53
@@ -376,15 +378,14 @@ def _eliminate(a: list[list[int]], m: int, n: int) -> list[int]:
 def _diagonal_values(m: IntMatrix | np.ndarray) -> list[int]:
     """The invariant factors of m, an IntMatrix or integer array (see
     _as_array), positive and in divisibility-chain order.  Matrices with
-    fewer than _LIST_LANE_BELOW rows or columns, or an entry at or above
-    _INT64_CEILING, go to the list lane; any other int64 one to the valence
-    lane (valence.valence_finish), and to the list lane if that refuses it.
+    fewer than _LIST_LANE_BELOW rows or columns go to the list lane; any
+    other one to the valence lane (valence.valence_finish), and to the list
+    lane if that refuses it.
     """
     if isinstance(m, IntMatrix) and min(m.rows, m.cols) < _LIST_LANE_BELOW:
         return _eliminate([list(row) for row in m.data], m.rows, m.cols)
     m = _as_array(m)
-    if (m.dtype == "int64" and min(m.shape) >= _LIST_LANE_BELOW
-            and -_INT64_CEILING < m.min() and m.max() < _INT64_CEILING):
+    if min(m.shape) >= _LIST_LANE_BELOW:
         from .valence import valence_finish
         diag = valence_finish(m)
         if diag is not None:

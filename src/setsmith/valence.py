@@ -1,23 +1,24 @@
 """The valence lane of the dense Smith reduction.
 
-The method of Dumas, Saunders and Villard (J. Symbolic Comput. 32, 2001),
-in word-size integers.  It works on the matrix G = A itself when A is
-square, and otherwise on the Gram matrix G = A A^T (or A^T A, whichever is
-smaller), whose valence bounds the torsion of A as well.  A candidate
-minimal polynomial f = x^s g(x) of G comes from a Krylov sequence modulo
-word primes, lifted by CRT, and f(G) = 0 is checked exactly by float64
-matrix products, whose partial sums stay integers below 2**53 (as in
-FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008).  With s <= 1,
-v = |g(0)| bounds every prime power of the Smith group.  v is split into
-pairwise coprime parts b**v_b(v) < 2**31, over the roots of f when they
-are all integers and by trial division otherwise; with x | f a rank prime
-that does not divide v joins them.  The parts are packed into moduli
-below 2**31, and one elimination of A over Z/M for each modulus M gives
-every gcd(d_i, M), so every invariant factor d_i.  The lane refuses a
-Gram matrix with an entry bound of 2**62 or more, a Krylov degree over 16,
-a failed check, x^2 | f, a valence that neither splits over integer roots
-nor factors (a cofactor of 2**32 or more after trial division below
-2**16), and a part of 2**31 or more; the caller then runs the list lane.
+The method of Dumas, Saunders and Villard (J. Symbolic Comput. 32, 2001).
+It works on the matrix G = A itself when A is square, and otherwise on the
+Gram matrix G = A A^T (or A^T A, whichever is smaller), whose valence
+bounds the torsion of A as well.  A candidate minimal polynomial
+f = x^s g(x) of G comes from a Krylov sequence modulo word primes, lifted
+by CRT, and f(G) = 0 is checked exactly by float64 matrix products, whose
+partial sums stay integers below 2**53 (as in FFLAS-FFPACK, Dumas, Giorgi
+and Pernet, ACM TOMS 2008).  With s <= 1, v = |g(0)| bounds every prime
+power of the Smith group.  v is split into pairwise coprime parts
+b**v_b(v), over the roots of f when they are all integers and by trial
+division otherwise; with x | f a rank prime that does not divide v joins
+them.  The parts below 2**31 are packed into int64 moduli below 2**31,
+and each larger part is a modulus of its own, worked on in Python ints.
+One elimination of A over Z/M for each modulus M gives every gcd(d_i, M),
+so every invariant factor.  Entries of any size are taken.  The lane
+refuses a Krylov degree over 16, a failed check, x^2 | f, a valence that
+neither splits over integer roots nor factors (a cofactor of 2**32 or
+more after trial division below 2**16), and a case that needs more than
+64 primes; the caller then runs the list lane.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .exact import (_INT64_CEILING, _coprime_base, _xgcd,
-                    group_from_diagonal)
+from .exact import _coprime_base, _product, _xgcd, group_from_diagonal
 
 # The largest degree of a Krylov polynomial accepted (a scheme element's
-# minimal polynomial has degree at most k + 1), the bound on every modulus
-# of the elimination, the width of the column blocks the exact check
-# multiplies, and the bound below which float64 holds every integer.
+# minimal polynomial has degree at most k + 1), the bound below which
+# elimination moduli are packed and worked on in int64, the width of the
+# column blocks the exact check multiplies, and the bound below which
+# float64 holds every integer.
 _MAX_DEGREE = 16
 _LOCAL_MODULUS = 1 << 31
 _CHECK_COLUMNS = 64
@@ -172,8 +173,8 @@ def _krylov_polynomial(aq: np.ndarray, q: int) -> list[int] | None:
 
 
 def _annihilates(a: np.ndarray, coeffs: list[int], bound: int) -> bool:
-    """Whether sum_i coeffs[i] a^i is exactly zero, for an int64 square a
-    whose rows have absolute sums at most bound.
+    """Whether sum_i coeffs[i] a^i is exactly zero, for an integer square
+    array a whose rows have absolute sums at most bound.
 
     Horner's rule runs in float64 on blocks of identity columns.  No entry
     of a^i exceeds bound**i, so no partial sum exceeds h = sum |c_i|
@@ -211,8 +212,9 @@ def _annihilates(a: np.ndarray, coeffs: list[int], bound: int) -> bool:
 
 def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
     """gcd(x, mod) for the diagonal entries x of a diagonal form of the
-    int64 matrix a over Z/mod, 0 < mod < 2**31, one per row or column,
-    whichever are fewer; a zero entry gives mod.
+    integer array a over Z/mod, mod > 0, one per row or column, whichever
+    are fewer; a zero entry gives mod.  Residues are int64 when mod is
+    below _LOCAL_MODULUS, and Python ints otherwise.
 
     The pivot is an entry of least gcd with mod in the pivot column, or in
     the pivot row if that holds a smaller one.  Where it does not divide an
@@ -225,7 +227,10 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
     row and column are reduced, so each update subtracts less than
     mod**2 <= 2**62 from an entry.
     """
-    w = a % mod
+    if mod < _LOCAL_MODULUS:
+        w = (a % mod).astype(np.int64, copy=False)
+    else:
+        w = a.astype(object, copy=False) % mod
     headroom = ((1 << 63) - mod) // max(mod - 1, 1) ** 2
     spent = 0
     out = []
@@ -292,9 +297,9 @@ def _valence_parts(coeffs: list[int], v: int) -> list[int] | None:
 
 
 def valence_finish(a: np.ndarray) -> list[int] | None:
-    """Every invariant factor of the int64 matrix a, entries below 2**62,
-    computed in word-size arithmetic; None when the valence lane does not
-    apply.
+    """Every invariant factor of the integer array a (from
+    exact._as_array); None when the lane refuses a (see the module
+    docstring).
 
     a is transposed if it has more rows than columns, so that it is r x c
     with r <= c.  The lane works on G = a when a is square, and otherwise
@@ -310,22 +315,14 @@ def valence_finish(a: np.ndarray) -> list[int] | None:
     col(a).  So every invariant factor d_i of a but zero divides v, and
     gcd(d_i, M) for M = v gives it.  With s = 1, M also takes a prime q
     that does not divide v: gcd(d_i, q) is q exactly when d_i = 0.  M is
-    split into coprime moduli below 2**31, packed largest first; the
-    diagonal of a modulo each, put in chain order by group_from_diagonal,
-    gives gcd(d_i, M) entrywise.
-    Refused: a Gram matrix with c max|a|**2 of 2**62 or more, a Krylov
-    degree over _MAX_DEGREE, a failed check, x^2 | f, a valence that does
-    not factor, and a part b**v_b(v) of 2**31 or more.
+    split into coprime moduli, the parts below 2**31 packed largest first
+    into moduli below 2**31; the diagonal of a modulo each, put in chain
+    order by group_from_diagonal, gives gcd(d_i, M) entrywise.
     """
     if a.shape[0] > a.shape[1]:
         a = a.T
     n = a.shape[0]
-    gram = a
-    if n < a.shape[1]:
-        top = int(np.abs(a).max())
-        if a.shape[1] * top * top >= _INT64_CEILING:
-            return None
-        gram = a @ a.T
+    gram = a if n == a.shape[1] else _product(a, a.T)
     top = int(np.abs(gram).max())
     bound = (int(np.abs(gram).sum(axis=1).max()) if top * n < 1 << 63
              else top * n)
@@ -350,8 +347,7 @@ def valence_finish(a: np.ndarray) -> list[int] | None:
     s = 0 if coeffs[0] else 1
     v = abs(coeffs[s])
     parts = _valence_parts(coeffs, v) if v else None
-    if (parts is None or any(part >= _LOCAL_MODULUS for part in parts)
-            or not _annihilates(gram, coeffs, bound)):
+    if parts is None or not _annihilates(gram, coeffs, bound):
         return None
     rank_prime = 0
     if s:

@@ -148,9 +148,9 @@ def _random_unimodular(rng, n):
        density=st.sampled_from([0.3, 1.0]), seed=st.integers(0, 2 ** 32))
 def test_snf_properties_across_lanes(side, other, flip, bound, density, seed):
     # the smaller side is drawn uniformly, so shapes fall on both sides of
-    # _LIST_LANE_BELOW; entries near 2**61 reach the valence lane when
-    # square, and a non-square Gram bound past 2**62 sends them back to
-    # the list lane, as entries of 2**62 or more are from the start
+    # _LIST_LANE_BELOW; every matrix of 20 or more rows and columns reaches
+    # the valence lane, entries near 2**62 included, and the Gram matrix
+    # of a non-square one is then taken in Python ints
     assert 1 < _LIST_LANE_BELOW <= 24
     rng = random.Random(seed)
     rows, cols = side, max(side, other)
@@ -223,13 +223,14 @@ def _fibonacci_chain():
     return IntMatrix(data)
 
 
-def _int64_lane_offers(monkeypatch):
-    """The matrices smith_normal_form offers to the int64 (valence) lane."""
+def _valence_offers(monkeypatch):
+    """The matrices smith_normal_form offers to the valence lane, each as
+    (dtype name, entries)."""
     import setsmith.valence
     offered, finish = [], setsmith.valence.valence_finish
 
     def record(a):
-        offered.append(a.tolist())
+        offered.append((a.dtype.name, a.tolist()))
         return finish(a)
     monkeypatch.setattr(setsmith.valence, "valence_finish", record)
     return offered
@@ -238,9 +239,9 @@ def _int64_lane_offers(monkeypatch):
 def test_int64_lane_hands_off_at_the_ceiling(monkeypatch):
     # entries of 2**60 to 2**62 beside a small block, where eliminating on
     # the 1 sets entry (1, 1) to -2**62, or to one above it: below the
-    # ceiling the int64 lane is offered the matrix, and at it the list
-    # lane takes the whole matrix; either way the factors are exact
-    offered = _int64_lane_offers(monkeypatch)
+    # ceiling the valence lane is offered the matrix in int64, and at it
+    # in Python ints; either way the factors are exact
+    offered = _valence_offers(monkeypatch)
     rng = random.Random(5)
     lower = [[rng.choice([-9, -5, -2, 0, 2, 3, 7]) for _ in range(18)]
              for _ in range(18)]
@@ -250,25 +251,28 @@ def test_int64_lane_hands_off_at_the_ceiling(monkeypatch):
     for m in below:
         assert m.cols >= _LIST_LANE_BELOW and m.max_abs() < _INT64_CEILING
         _lane_factors(m)
-    assert offered == [m.data for m in below]
+    assert offered == [("int64", m.data) for m in below]
     at = _ceiling_case(-_INT64_CEILING, lower)
     assert at.max_abs() == _INT64_CEILING
     _lane_factors(at)
-    assert len(offered) == 2
+    assert offered[2:] == [("object", at.data)]
     # -2**63 fits int64, but its absolute value does not
     low = _ceiling_case(-2 ** 63, lower)
-    assert smith_normal_form(_array(low)) == smith_normal_form(low)
-    assert len(offered) == 2
+    f = smith_normal_form(low)
+    assert smith_normal_form(_array(low)) == f
+    assert f.invariant_factors == _chain(
+        _eliminate([list(row) for row in low.data], low.rows, low.cols))
+    assert offered[3:] == [("object", low.data)] * 2
 
 
 def test_int64_lane_bound_follows_a_long_chain_on_one_pivot(monkeypatch):
     # an entry growth of about 2**40 on one pivot, from entries below
     # 2**47: the int64 lane is offered it, and neither lane wraps
-    offered = _int64_lane_offers(monkeypatch)
+    offered = _valence_offers(monkeypatch)
     m = _fibonacci_chain()
     assert m.max_abs() < 2 ** 47
     _lane_factors(m)
-    assert offered == [m.data]
+    assert offered == [("int64", m.data)]
 
 
 def _with_unit_pair(lower, width=None):
@@ -300,12 +304,17 @@ def _nilpotent_corner(size):
 # each fallback: a matrix the valence lane refuses, so the list lane
 # reduces all of it
 _REFUSED = {
-    "non-square": _with_unit_pair([row + [5] for row in _diag([2, 3] * 9)],
-                                  width=19),
     "x^2 divides mu": _with_unit_pair(_nilpotent_corner(18)),
     "degree over the cap": _with_unit_pair(_diag(range(2, 20))),
-    "p^e at least 2^31": _with_unit_pair(_diag([2 ** 31] * 18)),
     "cofactor too large to factor": _with_unit_pair(_diag([65537 * 65539] * 18)),
+}
+
+# matrices past int64 arithmetic, which the valence lane answers: a Gram
+# matrix with entries past 2**62, and a modulus 2**31 worked on in Python ints
+_PAST_INT64 = {
+    "non-square": _with_unit_pair([row + [5] for row in _diag([2, 3] * 9)],
+                                  width=19),
+    "p^e at least 2^31": _with_unit_pair(_diag([2 ** 31] * 18)),
 }
 
 
@@ -318,6 +327,16 @@ def test_valence_finish_refusals_fall_back_to_the_list_lane(case):
     f = smith_normal_form(m).invariant_factors
     full = _eliminate([list(row) for row in m.data], m.rows, m.cols)
     assert f == _chain(full)
+
+
+@pytest.mark.parametrize("case", sorted(_PAST_INT64))
+def test_valence_finish_answers_past_int64(case):
+    m = _PAST_INT64[case]
+    assert min(m.rows, m.cols) >= _LIST_LANE_BELOW
+    full = _chain(_eliminate([list(row) for row in m.data], m.rows, m.cols))
+    assert _chain(valence_finish(_array(m))) == full
+    assert _chain(valence_finish(_array(m).T)) == full
+    assert smith_normal_form(m).invariant_factors == full
 
 
 def test_valence_finish_answers_past_the_unit_pair():
@@ -439,17 +458,18 @@ def test_valence_finish_answers_non_square_scheme_matrices(n, ell):
     assert _chain(valence_finish(a.T)) == f
 
 
-def test_valence_finish_refuses_a_gram_matrix_past_the_ceiling():
+def test_valence_finish_answers_a_gram_matrix_past_the_ceiling():
     # a row (2**32, 2**32) beside 3 I: its Gram entry 2**65 would wrap to 0
     # in int64, and the valence 9 of what is left, with the rank prime 2,
-    # would read the factor 2**32 as 2
+    # would read the factor 2**32 as 2; the Gram matrix is taken in Python
+    # ints, so the lane answers exactly in either orientation
     data = ([[0] * 20 + [2 ** 32] * 2]
             + [row + [0, 0] for row in _diag([3] * 20)[1:]])
     m = IntMatrix(data)
     assert m.shape() == (20, 22) and m.max_abs() < _INT64_CEILING
-    assert valence_finish(_array(m)) is None
-    assert valence_finish(_array(m).T) is None
     want = (1,) + (3,) * 18 + (3 * 2 ** 32,)
+    assert _chain(valence_finish(_array(m))) == want
+    assert _chain(valence_finish(_array(m).T)) == want
     assert _chain(_eliminate([list(row) for row in m.data], m.rows,
                              m.cols)) == want
     assert smith_normal_form(m).invariant_factors == want
@@ -470,20 +490,28 @@ def test_annihilates_rejects_a_wrong_polynomial():
 
 
 def _moduli():
-    """1, a prime power, or a product of prime powers, each below 2**31."""
+    """1, a prime power, or a product of coprime prime powers: below 2**31,
+    where the residues are int64, and from 2**31 to about 2**200, where
+    they are Python ints."""
     primes = st.sampled_from([2, 3, 5, 7, 11, 13, 65521, 2 ** 31 - 1])
     powers = st.tuples(primes, st.integers(1, 31)).map(
         lambda pe: pe[0] ** max(e for e in range(1, pe[1] + 1)
                                 if pe[0] ** e < 2 ** 31))
+    wide = st.sampled_from([2 ** 31, (2 ** 31 - 1) ** 2, 65521 ** 4,
+                            2 ** 61 - 1, 3 ** 40])
     return st.one_of(st.just(1), powers,
-                     st.lists(powers, min_size=2, max_size=4).map(_pack))
+                     st.lists(powers, min_size=2, max_size=4).map(_pack),
+                     wide,
+                     st.lists(st.one_of(wide, powers), min_size=2, max_size=5)
+                     .map(lambda parts: _pack(parts, 2 ** 200)))
 
 
-def _pack(parts):
-    """The product of the coprime parts below 2**31, taken in order."""
+def _pack(parts, bound=2 ** 31):
+    """The product of the coprime parts, taken in order while it stays
+    below bound."""
     out = 1
     for part in parts:
-        if gcd(out, part) == 1 and out * part < 2 ** 31:
+        if gcd(out, part) == 1 and out * part < bound:
             out *= part
     return out
 
@@ -533,12 +561,17 @@ def test_array_entry_points_take_integer_dtypes_only(monkeypatch):
     small = np.array([[2, 4], [6, 9]], dtype=np.int32)
     assert smith_normal_form(small).invariant_factors == (1, 6)
     assert IntMatrix(small).data == [[2, 4], [6, 9]]
-    # a narrow integer array is widened to int64 for the valence lane
-    offered = _int64_lane_offers(monkeypatch)
+    # a narrow integer array is widened to int64 for the valence lane, and
+    # a uint64 one with an entry of 2**62 or more comes as Python ints
+    offered = _valence_offers(monkeypatch)
     wide = rand_matrix(random.Random(3), _LIST_LANE_BELOW, _LIST_LANE_BELOW)
     got = smith_normal_form(np.array(wide.data, dtype=np.int32))
-    assert offered == [wide.data]
+    assert offered == [("int64", wide.data)]
     assert got == smith_normal_form(wide)
+    top = np.abs(_array(wide)).astype(np.uint64)
+    top[0, 0] = 2 ** 64 - 1
+    assert smith_normal_form(top) == smith_normal_form(IntMatrix(top))
+    assert offered[2:] == [("object", top.tolist())] * 2
 
 
 def test_arrays_take_the_transform_and_product_paths():

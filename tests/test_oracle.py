@@ -3,9 +3,12 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from setsmith.exact import (AbelianGroup, IntMatrix, group_from_diagonal,
-                            group_from_smith, smith_normal_form)
+import setsmith.exact
+from setsmith.exact import (_LIST_LANE_BELOW, AbelianGroup, IntMatrix,
+                            group_from_diagonal, group_from_smith,
+                            smith_normal_form)
 from setsmith.oracle import (SizeCapExceeded, THEOREMS, bench,
                              brute_force_group, closed_form_entries,
                              closed_form_group, scheme_element_matrix,
@@ -111,6 +114,41 @@ def test_oracle_equivalence_random_combinations():
                 structured = smith_group(p, coeffs, lam).group
                 brute = brute_force_group(p, coeffs, lam)
                 assert structured == brute, (n, k, coeffs, lam)
+
+
+def test_oracle_matches_the_blocks_up_to_2_64(monkeypatch):
+    # coefficients and shifts of 16 to 64 bits, eigenvalue shifts
+    # included, kr <= kc <= 3: the dense oracle agrees with the block
+    # reduction.  kr >= 2 makes every dense matrix 55 x 55 or larger, and
+    # the spy requires the valence lane to answer each, so that no matrix
+    # of 20 or more rows and columns reaches the list lane
+    eliminate = setsmith.exact._eliminate
+
+    def small_only(a, m, n):
+        assert min(m, n) < _LIST_LANE_BELOW, (m, n)
+        return eliminate(a, m, n)
+    monkeypatch.setattr(setsmith.exact, "_eliminate", small_only)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(11, 12), ks=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+           bits=st.sampled_from([16, 30, 40, 62, 64]),
+           shift=st.sampled_from(["none", "eigenvalue", "any"]),
+           seed=st.integers(0, 2 ** 32))
+    def check(n, ks, bits, shift, seed):
+        rng = random.Random(seed)
+        kr, kc = ks
+        p = SchemeParams(n, kr, kc, kr)
+        top = 2 ** bits
+        coeffs = tuple(rng.randint(-top, top) for _ in range(kr + 1))
+        lam = 0
+        if kr == kc and shift == "eigenvalue":
+            lam = rng.choice([e.eigenvalue for e in eigenvalues(p, coeffs)])
+        elif kr == kc and shift == "any":
+            lam = rng.randint(-top, top)
+        assert brute_force_group(p, coeffs, lam) \
+            == smith_group(p, coeffs, lam).group
+
+    check()
 
 
 def test_bench_reports():

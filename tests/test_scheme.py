@@ -792,8 +792,8 @@ def test_scheme_array_is_int64_only_below_the_ceiling():
 
 
 def test_dense_oracle_is_exact_past_int64():
-    # 28 columns, with entries past 2**64: the object array must reach the
-    # list lane whole, as int64 would wrap around
+    # 28 columns, with entries past 2**64: the valence lane must take the
+    # object array whole, as int64 would wrap around
     p = SchemeParams(8, 2, 2, 2)
     for coeffs, lam in [((2 ** 70, 3, -5), 0), ((7, -(2 ** 70) + 1, 2), 2),
                         ((2 ** 63, 2 ** 63 + 1, 1), -(2 ** 66))]:

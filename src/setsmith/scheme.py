@@ -171,14 +171,19 @@ def _combined_f(p: SchemeParams, coeffs: tuple[int, ...]) -> list[list[int]]:
     """table[i][j] = sum_l b_l f_i(j), f taken at ell = l, for i <= kr and
     j <= kc: the coefficient of W_{i,j} in the conjugated triangular form of
     the combination.  Zero below the diagonal, where W_{i,j} vanishes.
-    f_coeff's alternating sum runs once, on g[v][j] = sum_l b_l c_v(j)."""
-    terms = [(b, SchemeParams(p.n, p.kr, p.kc, ell))
-             for ell, b in enumerate(coeffs) if b]
-    g = [[sum(b * c_coeff(v, j, q) for b, q in terms) if v <= j else 0
-          for j in range(p.kc + 1)] for v in range(p.kr + 1)]
-    return [[sum((-1) ** (i + v) * comb(i, v) * g[v][j] for v in range(i + 1))
-             if i <= j else 0 for j in range(p.kc + 1)]
-            for i in range(p.kr + 1)]
+    f_coeff's alternating sum runs once, on g[v][j] = sum_l b_l c_v(j), from
+    tables of C(kr-v, l-v) and b_l C(n-kr-d, kc-l-d), d = j - v (c_coeff)."""
+    n, kr, kc, _ = p
+    terms = [ell for ell, b in enumerate(coeffs) if b]
+    low = [[binomial(kr - v, ell - v) for ell in terms] for v in range(kr + 1)]
+    high = [[coeffs[ell] * binomial(n - kr - d, kc - ell - d) for ell in terms]
+            for d in range(kc + 1)]
+    g = [[sum(x * y for x, y in zip(low[v], high[j - v])) if v <= j else 0
+          for j in range(kc + 1)] for v in range(kr + 1)]
+    signed = [[(-1) ** (i + v) * comb(i, v) for v in range(i + 1)]
+              for i in range(kr + 1)]
+    return [[sum(c * g[v][j] for v, c in enumerate(signed[i])) if i <= j else 0
+             for j in range(kc + 1)] for i in range(kr + 1)]
 
 
 def ms_matrices(p: SchemeParams, coeffs=None, lam: int = 0) -> list[MsMatrix]:

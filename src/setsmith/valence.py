@@ -12,7 +12,7 @@ power of the Smith group.  v is split into pairwise coprime parts
 b**v_b(v), over the roots of f when they are all integers and by trial
 division otherwise; with x | f a rank prime that does not divide v joins
 them.  The parts below 2**31 are packed into int64 moduli below 2**31,
-and each larger part is a modulus of its own, worked on in Python ints.
+and the larger parts all into one modulus, worked on in Python ints.
 One elimination of A over Z/M for each modulus M gives every gcd(d_i, M),
 so every invariant factor.  Entries of any size are taken.  The lane
 refuses a Krylov degree over 16, a failed check, x^2 | f, a valence that
@@ -315,9 +315,9 @@ def valence_finish(a: np.ndarray) -> list[int] | None:
     col(a).  So every invariant factor d_i of a but zero divides v, and
     gcd(d_i, M) for M = v gives it.  With s = 1, M also takes a prime q
     that does not divide v: gcd(d_i, q) is q exactly when d_i = 0.  M is
-    split into coprime moduli, the parts below 2**31 packed largest first
-    into moduli below 2**31; the diagonal of a modulo each, put in chain
-    order by group_from_diagonal, gives gcd(d_i, M) entrywise.
+    split into coprime moduli: the parts of 2**31 or more into one, the
+    others largest first into moduli below 2**31.  The diagonal of a modulo
+    each, put in chain order by group_from_diagonal, gives gcd(d_i, M).
     """
     if a.shape[0] > a.shape[1]:
         a = a.T
@@ -359,7 +359,7 @@ def valence_finish(a: np.ndarray) -> list[int] | None:
     moduli: list[int] = []
     for part in sorted(parts, reverse=True):
         for i, mod in enumerate(moduli):
-            if mod * part < _LOCAL_MODULUS:
+            if mod * part < _LOCAL_MODULUS or part >= _LOCAL_MODULUS:
                 moduli[i] *= part
                 break
         else:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from setsmith.exact import (_INT64_CEILING, _LIST_LANE_BELOW, AbelianGroup,
+from setsmith.exact import (_BEZOUT_BELOW, _INT64_CEILING, _LIST_LANE_BELOW,
+                            AbelianGroup,
                             ExactError, IntMatrix, SmithForm, _eliminate,
                             group_from_diagonal, group_from_smith,
                             smith_normal_form, stack)
@@ -168,6 +169,52 @@ def test_snf_properties_across_lanes(side, other, flip, bound, density, seed):
             assert prod(f) == abs(det)
     mixed = _random_unimodular(rng, rows) @ m @ _random_unimodular(rng, cols)
     assert smith_normal_form(mixed).invariant_factors == f
+
+
+_SMOOTH = [0, 1, 2, 3, 4, 6, 8, 9, 12, 27, 35]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, _BEZOUT_BELOW + 2),
+       cols=st.integers(1, _BEZOUT_BELOW + 2), square=st.booleans(),
+       kind=st.sampled_from(["full", "singular", "triangular", "zero rows"]),
+       smooth=st.booleans(), scale=st.sampled_from([1, 6, 2 ** 89 + 1]),
+       seed=st.integers(0, 2 ** 32))
+def test_bezout_step_matches_the_euclid_step(rows, cols, square, kind, smooth,
+                                             scale, seed):
+    # _eliminate takes one Bezout step per entry on blocks of fewer than
+    # _BEZOUT_BELOW rows and columns; padded by zero rows up to that size,
+    # the same matrix has the same invariant factors and takes Euclid's
+    # rounded quotients.  Entries rich in small primes (smooth), and a
+    # common scale, give chains of factors past 1, up to 2**100
+    rng = random.Random(seed)
+    cols = rows if square else cols
+    data = [[(rng.randint(-9, 9) * rng.choice(_SMOOTH) if smooth
+              else rng.randint(-2 ** 11, 2 ** 11)) * scale
+             for _ in range(cols)] for _ in range(rows)]
+    if kind == "singular" and rows > 1:
+        # a combination of rows 0 and -2, a multiple of row 0 at two rows
+        c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+        data[-1] = [c * x + d * y for x, y in zip(data[0], data[-2])]
+    elif kind == "triangular":
+        for i, row in enumerate(data):
+            row[:min(i, cols)] = [0] * min(i, cols)
+    elif kind == "zero rows":
+        for i in rng.sample(range(rows), (rows + 1) // 2):
+            data[i] = [0] * cols
+    pad = max(_BEZOUT_BELOW - rows, 0)
+    padded = [row[:] for row in data] + [[0] * cols for _ in range(pad)]
+    euclid = _eliminate(padded, rows + pad, cols)
+    assert _eliminate([row[:] for row in data], rows, cols) == euclid
+    if max(rows, cols) <= 4:
+        assert tuple(euclid) == _minor_factors(IntMatrix(data))
+    # the riders: the transforms reach the same diagonal
+    m = IntMatrix(data)
+    snf = smith_normal_form(m, with_transforms=True)
+    assert snf.invariant_factors == tuple(euclid)
+    assert snf.left @ m @ snf.right == snf.diagonal_matrix(rows, cols)
+    assert abs(_bareiss_det(snf.left.data)) == 1
+    assert abs(_bareiss_det(snf.right.data)) == 1
 
 
 def _ceiling_case(corner, lower):
@@ -429,6 +476,29 @@ def test_valence_finish_splits_an_unfactored_valence_over_integer_roots():
         [2 ** 6, 3 ** 4, 119 ** 2, 179, 715, 84811, 85999])
     f = _chain(valence_finish(a))
     assert group_from_smith(SmithForm(f, len(f)), m.cols) \
+        == smith_group(p, coeffs, lam).group
+
+
+def test_valence_finish_packs_the_wide_parts_into_one_modulus(monkeypatch):
+    # A(12,3,3,3) with 62-bit coefficients, shifted by an eigenvalue: the
+    # valence parts of 2**31 or more (65, 63 and 60 bits) make one modulus
+    # for a single elimination on Python ints, beside an int64 one
+    p = SchemeParams(12, 3, 3, 3)
+    rng = random.Random(5)
+    coeffs = tuple(rng.randint(-2 ** 62, 2 ** 62) for _ in range(4))
+    lam = rng.choice([e.eigenvalue for e in eigenvalues(p, coeffs)])
+    import setsmith.valence
+    seen, diagonal_mod = [], setsmith.valence._diagonal_mod
+
+    def spy(a, mod):
+        seen.append(mod)
+        return diagonal_mod(a, mod)
+    monkeypatch.setattr(setsmith.valence, "_diagonal_mod", spy)
+    a = _scheme_array(p, coeffs, lam)
+    f = _chain(valence_finish(a))
+    assert [mod.bit_length() for mod in seen if mod >= 2 ** 31] == [187]
+    assert any(mod < 2 ** 31 for mod in seen)
+    assert group_from_smith(SmithForm(f, len(f)), a.shape[1]) \
         == smith_group(p, coeffs, lam).group
 
 

@@ -815,6 +815,28 @@ def test_combined_f_matches_the_per_ell_definition(data):
     assert _combined_f(p, coeffs) == want
 
 
+def test_combined_f_matches_the_table_through_c_coeff():
+    # the per-term definition: one SchemeParams per ell and one c_coeff per
+    # (ell, v, j), then the alternating sum; n = 3kc - 1 (kc when that is
+    # smaller), just past it, and far past it
+    rng = random.Random(21)
+    for kc in range(7):
+        for kr in range(kc + 1):
+            for n in (max(3 * kc - 1, kc), 3 * kc + 4, 10 ** 6, 10 ** 30):
+                coeffs = tuple(rng.choice([0, rng.randint(-99, 99),
+                                           rng.randint(-10 ** 20, 10 ** 20)])
+                               for _ in range(kr + 1))
+                p = SchemeParams(n, kr, kc, 0)
+                terms = [(b, SchemeParams(n, kr, kc, ell))
+                         for ell, b in enumerate(coeffs) if b]
+                g = [[sum(b * c_coeff(v, j, q) for b, q in terms)
+                      for j in range(kc + 1)] for v in range(kr + 1)]
+                want = [[sum((-1) ** (i + v) * comb(i, v) * g[v][j]
+                             for v in range(i + 1)) if i <= j else 0
+                         for j in range(kc + 1)] for i in range(kr + 1)]
+                assert _combined_f(p, coeffs) == want, (p, coeffs)
+
+
 # The names `import setsmith` offered before the dense builders, the proof
 # objects and the dense command handlers moved to modules that load on first
 # use; perfbench/worker.py imports some of them from setsmith.

@@ -549,15 +549,17 @@ def _coprime_base(values) -> list[int]:
     powers of them: factor refinement (Bach, Driscoll and Shallit 1993).
 
     Only gcds are taken, so a value with two large prime factors costs no
-    more than a small one.  Each split replaces b and x by g = gcd(b, x),
-    b/g and x/g, so the product of all numbers held drops by g > 1 and the
-    loop ends.
+    more than a small one.  Values go smallest first, and each is stripped
+    of the base elements that divide it.  A split replaces b and x by
+    g = gcd(b, x) > 1, b/g and x/g, so the product held drops, and ends.
     """
     base: list[int] = []
-    todo = [v for v in values if v > 1]
+    todo = sorted((v for v in values if v > 1), reverse=True)
     while todo:
         x = todo.pop()
         for idx, b in enumerate(base):
+            while x % b == 0:
+                x //= b
             g = gcd(b, x)
             if g > 1:
                 # b is coprime to the rest of the base, and so are its parts
@@ -565,7 +567,8 @@ def _coprime_base(values) -> list[int]:
                 todo.extend(d for d in (g, b // g, x // g) if d > 1)
                 break
         else:
-            base.append(x)
+            if x > 1:
+                base.append(x)
     return base
 
 

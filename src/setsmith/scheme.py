@@ -16,6 +16,7 @@ first use, so the block reduction starts without compiling them.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from operator import index
 from typing import NamedTuple
@@ -167,20 +168,29 @@ def block_multiplicity(n: int, s: int) -> int:
     return binomial(n, s) - 2 * binomial(n, s - 1) + binomial(n, s - 2)
 
 
-def _combined_f(p: SchemeParams, coeffs: tuple[int, ...]) -> list[list[int]]:
+def _pascal(m: int) -> list[list[int]]:
+    """pascal[b][a] = C(a, b) for a, b <= m: each row sums the one above."""
+    pascal = [[1] * (m + 1)]
+    for _ in range(m):
+        pascal.append([0, *accumulate(pascal[-1][:-1])])
+    return pascal
+
+
+def _combined_f(p: SchemeParams, coeffs, pascal=None) -> list[list[int]]:
     """table[i][j] = sum_l b_l f_i(j), f taken at ell = l, for i <= kr and
     j <= kc: the coefficient of W_{i,j} in the conjugated triangular form of
     the combination.  Zero below the diagonal, where W_{i,j} vanishes.
     f_coeff's alternating sum runs once, on g[v][j] = sum_l b_l c_v(j), from
-    tables of C(kr-v, l-v) and b_l C(n-kr-d, kc-l-d), d = j - v (c_coeff)."""
+    tables of C(kr-v, kr-l) and b_l C(n-kr-d, kc-l-d), d = j - v (c_coeff)."""
     n, kr, kc, _ = p
+    pascal = pascal or _pascal(kc)
     terms = [ell for ell, b in enumerate(coeffs) if b]
-    low = [[binomial(kr - v, ell - v) for ell in terms] for v in range(kr + 1)]
+    low = [[pascal[kr - ell][kr - v] for ell in terms] for v in range(kr + 1)]
     high = [[coeffs[ell] * binomial(n - kr - d, kc - ell - d) for ell in terms]
             for d in range(kc + 1)]
     g = [[sum(x * y for x, y in zip(low[v], high[j - v])) if v <= j else 0
           for j in range(kc + 1)] for v in range(kr + 1)]
-    signed = [[(-1) ** (i + v) * comb(i, v) for v in range(i + 1)]
+    signed = [[(-1) ** (i + v) * pascal[v][i] for v in range(i + 1)]
               for i in range(kr + 1)]
     return [[sum(c * g[v][j] for v, c in enumerate(signed[i])) if i <= j else 0
              for j in range(kc + 1)] for i in range(kr + 1)]
@@ -195,11 +205,13 @@ def ms_matrices(p: SchemeParams, coeffs=None, lam: int = 0) -> list[MsMatrix]:
         raise ParameterError(
             f"the block reduction assumes n >= 3*kc - 1 (here n >= {3 * p.kc - 1}); "
             f"for n={p.n} use the brute-force oracle instead")
-    table = _combined_f(p, coeffs)
+    table = _combined_f(p, coeffs, pascal := _pascal(p.kc))
+    for i in range(p.kr + 1):  # C(i-s, i-s) = 1: every M_s has the shift
+        table[i][i] -= lam
     blocks = []
     for s in range(p.kr + 1):
-        data = [[binomial(j - s, i - s) * table[i][j] - (lam if i == j else 0)
-                 for j in range(s, p.kc + 1)] for i in range(s, p.kr + 1)]
+        data = [[c * x for c, x in zip(pascal[d], row[s:])]
+                for d, row in enumerate(table[s:])]
         blocks.append(MsMatrix(s, IntMatrix(data), block_multiplicity(p.n, s)))
     return blocks
 

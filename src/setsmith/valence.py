@@ -11,14 +11,14 @@ and Pernet, ACM TOMS 2008).  With s <= 1, v = |g(0)| bounds every prime
 power of the Smith group.  v is split into pairwise coprime parts
 b**v_b(v), over the roots of f when they are all integers and by trial
 division otherwise; with x | f a rank prime that does not divide v joins
-them.  The parts below 2**31 are packed into int64 moduli below 2**31,
-and the larger parts all into one modulus, worked on in Python ints.
-One elimination of A over Z/M for each modulus M gives every gcd(d_i, M),
-so every invariant factor.  Entries of any size are taken.  The lane
-refuses a Krylov degree over 16, a failed check, x^2 | f, a valence that
-neither splits over integer roots nor factors (a cofactor of 2**32 or
-more after trial division below 2**16), and a case that needs more than
-64 primes; the caller then runs the list lane.
+them.  The parts below 2**31 are packed into moduli M < 2**31, worked on
+in int32 if 2 M**2 < 2**31 and in int64 otherwise; the larger parts make
+one modulus, worked on in Python ints.  One elimination of A over Z/M for
+each M gives every gcd(d_i, M), so every invariant factor.  Entries of any
+size are taken.  The lane refuses a Krylov degree over 16, a failed check,
+x^2 | f, a valence that neither splits over integer roots nor factors (a
+cofactor of 2**32 or more after trial division below 2**16), and a case
+that needs more than 64 primes; the caller then runs the list lane.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .exact import _coprime_base, _product, _xgcd, group_from_diagonal
 
 # The largest degree of a Krylov polynomial accepted (a scheme element's
 # minimal polynomial has degree at most k + 1), the bound below which
-# elimination moduli are packed and worked on in int64, the width of the
-# column blocks the exact check multiplies, and the bound below which
-# float64 holds every integer.
+# elimination moduli are packed and worked on in int32 or int64, the width
+# of the column blocks the exact check multiplies, and the bound below
+# which float64 holds every integer.
 _MAX_DEGREE = 16
 _LOCAL_MODULUS = 1 << 31
 _CHECK_COLUMNS = 64
@@ -213,8 +213,8 @@ def _annihilates(a: np.ndarray, coeffs: list[int], bound: int) -> bool:
 def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
     """gcd(x, mod) for the diagonal entries x of a diagonal form of the
     integer array a over Z/mod, mod > 0, one per row or column, whichever
-    are fewer; a zero entry gives mod.  Residues are int64 when mod is
-    below _LOCAL_MODULUS, and Python ints otherwise.
+    are fewer; a zero entry gives mod.  Residues are int32 when 2 mod**2 <
+    2**31, int64 when mod < _LOCAL_MODULUS, and Python ints otherwise.
 
     The pivot is an entry of least gcd with mod in the pivot column, or in
     the pivot row if that holds a smaller one.  Where it does not divide an
@@ -222,16 +222,18 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
     step of rows or columns replaces it by their gcd, whose gcd with mod is
     a proper divisor of the pivot's.  Once it divides them all,
     one update of the trailing block clears its column, and column
-    operations its row, which touch nothing else.  The trailing block is
-    reduced into [0, mod) only when int64 runs out of headroom: the pivot
-    row and column are reduced, so each update subtracts less than
-    mod**2 <= 2**62 from an entry.
+    operations its row, which touch nothing else.  The pivot row and column
+    are reduced, so no product formed reaches 2 mod**2 and each update
+    subtracts at most (mod - 1)**2 from an entry: the trailing block is
+    reduced into [0, mod) after (2**31 - mod) // (mod - 1)**2 updates in
+    int32, and after (2**63 - mod) // (mod - 1)**2 otherwise.
     """
     if mod < _LOCAL_MODULUS:
-        w = (a % mod).astype(np.int64, copy=False)
+        wide = 2 * mod * mod >= _LOCAL_MODULUS
+        w = (a % mod).astype(np.int64 if wide else np.int32, copy=False)
     else:
-        w = a.astype(object, copy=False) % mod
-    headroom = ((1 << 63) - mod) // max(mod - 1, 1) ** 2
+        w, wide = a.astype(object, copy=False) % mod, True
+    headroom = ((1 << (63 if wide else 31)) - mod) // max(mod - 1, 1) ** 2
     spent = 0
     out = []
     for t in range(min(w.shape)):
@@ -242,7 +244,8 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
         in_col = np.gcd(w[t:, t], mod)
         i = int(in_col.argmin())
         if in_col[i] > 1:
-            in_row = np.gcd(w[t, t:] % mod, mod)
+            w[t, t:] %= mod
+            in_row = np.gcd(w[t, t:], mod)
             j = int(in_row.argmin())
             if in_row[j] < in_col[i]:
                 w[t:, [t, t + j]] = w[t:, [t + j, t]]
@@ -250,7 +253,8 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
                 i = 0
         if i:
             w[[t, t + i], t:] = w[[t + i, t], t:]
-        w[t, t:] %= mod
+        if i or in_col[i] == 1:  # else the row search reduced row t
+            w[t, t:] %= mod
         while True:
             p = int(w[t, t])
             g = gcd(p, mod)
@@ -271,7 +275,8 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
                 break
         if g < mod:
             rest = mod // g
-            f = w[t + 1:, t] // g * pow(p // g, -1, rest) % rest
+            col = w[t + 1:, t] // g if g > 1 else w[t + 1:, t]
+            f = col * pow(p // g, -1, rest) % rest
             w[t + 1:, t + 1:] -= f[:, None] * w[t, t + 1:]
             spent += 1
         out.append(g)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, groupby
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from setsmith.exact import (_BEZOUT_BELOW, _INT64_CEILING, _LIST_LANE_BELOW,
                             AbelianGroup,
-                            ExactError, IntMatrix, SmithForm, _eliminate,
+                            ExactError, IntMatrix, SmithForm, _coprime_base,
+                            _eliminate,
                             group_from_diagonal, group_from_smith,
                             smith_normal_form, stack)
 from setsmith import proof
@@ -559,18 +561,29 @@ def test_annihilates_rejects_a_wrong_polynomial():
     assert not _annihilates(a, f, 2 ** 600)
 
 
-def _moduli():
-    """1, a prime power, or a product of coprime prime powers: below 2**31,
-    where the residues are int64, and from 2**31 to about 2**200, where
-    they are Python ints."""
-    primes = st.sampled_from([2, 3, 5, 7, 11, 13, 65521, 2 ** 31 - 1])
-    powers = st.tuples(primes, st.integers(1, 31)).map(
+def _prime_powers(primes, bound):
+    """p**e below bound, for p drawn from primes, e as drawn or smaller."""
+    return st.tuples(st.sampled_from(primes), st.integers(1, 31)).map(
         lambda pe: pe[0] ** max(e for e in range(1, pe[1] + 1)
-                                if pe[0] ** e < 2 ** 31))
+                                if pe[0] ** e < bound))
+
+
+def _moduli():
+    """1, a prime power, or a product of coprime prime powers: below 2**15,
+    where 2 mod**2 < 2**31 and the residues are int32, below 2**31, where
+    they are int64, and from 2**31 to about 2**200, where they are Python
+    ints.  Near 2**15 the int32 headroom is 2 updates (32767 = 7*31*151),
+    so twelve pivots reach it; 32768 is the first int64 modulus."""
+    powers = _prime_powers([2, 3, 5, 7, 11, 13, 65521, 2 ** 31 - 1], 2 ** 31)
+    narrow = _prime_powers([2, 3, 5, 7, 11, 13, 17, 31, 151, 32749], 2 ** 15)
     wide = st.sampled_from([2 ** 31, (2 ** 31 - 1) ** 2, 65521 ** 4,
                             2 ** 61 - 1, 3 ** 40])
     return st.one_of(st.just(1), powers,
                      st.lists(powers, min_size=2, max_size=4).map(_pack),
+                     narrow,
+                     st.lists(narrow, min_size=2, max_size=4)
+                     .map(lambda parts: _pack(parts, 2 ** 15)),
+                     st.sampled_from([32749, 30030, 32130, 32767, 32768]),
                      wide,
                      st.lists(st.one_of(wide, powers), min_size=2, max_size=5)
                      .map(lambda parts: _pack(parts, 2 ** 200)))
@@ -850,6 +863,50 @@ def test_group_from_diagonal_matches_snf_route():
             assert via_pairs == via_snf, entries
         else:
             assert via_pairs.is_trivial()
+
+
+def _below_2_20(factors):
+    """The product of the factors, taken in order while it stays below 2**20."""
+    out = 1
+    for f in factors:
+        if out * f < 2 ** 20:
+            out *= f
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(entries=st.lists(st.tuples(
+    st.one_of(st.integers(-2 ** 20 + 1, 2 ** 20 - 1),
+              st.lists(st.sampled_from([2, 3, 4, 5, 6, 9, 10, 12, 25, 49, 121,
+                                        1009, 32749]), max_size=8)
+              .map(_below_2_20)),
+    st.integers(0, 3)), max_size=10))
+def test_coprime_base_and_group_from_diagonal_match_trial_division(entries):
+    # values that share factors in every pattern, so that base elements
+    # divide later values, split them, and are split by them
+    assert sorted(_coprime_base([6, 12])) == [2, 3]
+    base = _coprime_base(abs(v) for v, _ in entries)
+    assert all(b > 1 for b in base)
+    assert all(gcd(a, b) == 1 for a, b in combinations(base, 2))
+    for v, _ in entries:
+        v = abs(v)
+        for b in base:
+            while v and v % b == 0:
+                v //= b
+        assert v in (0, 1)
+    # per prime (valence._factor: trial division, exact below 2**32), its
+    # exponents largest first, zipped into the factors
+    exponents, free = {}, 0
+    for v, m in entries:
+        free += m if v == 0 else 0
+        for p, e in _factor(abs(v)).items() if v else ():
+            exponents.setdefault(p, []).extend([e] * m)
+    factors = [1] * max(map(len, exponents.values()), default=0)
+    for p, es in exponents.items():
+        for i, e in enumerate(sorted(es, reverse=True)):
+            factors[i] *= p ** e
+    runs = [(d, len(list(same))) for d, same in groupby(reversed(factors))]
+    assert group_from_diagonal(entries) == AbelianGroup(runs, free)
 
 
 def test_group_validation_and_render():

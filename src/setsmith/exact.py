@@ -100,6 +100,15 @@ class IntMatrix:
         self.col_labels = col_labels
 
     @classmethod
+    def _keep(cls, data: list[list[int]], cols: int) -> "IntMatrix":
+        """An unlabelled IntMatrix that keeps data, lists of cols ints each
+        that the caller has just built and hands over, unchecked."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.data = len(data), cols, data
+        m.row_labels = m.col_labels = None
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 

@@ -212,7 +212,8 @@ def ms_matrices(p: SchemeParams, coeffs=None, lam: int = 0) -> list[MsMatrix]:
     for s in range(p.kr + 1):
         data = [[c * x for c, x in zip(pascal[d], row[s:])]
                 for d, row in enumerate(table[s:])]
-        blocks.append(MsMatrix(s, IntMatrix(data), block_multiplicity(p.n, s)))
+        blocks.append(MsMatrix(s, IntMatrix._keep(data, p.kc + 1 - s),
+                               block_multiplicity(p.n, s)))
     return blocks
 
 

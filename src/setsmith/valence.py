@@ -39,6 +39,10 @@ _MAX_DEGREE = 16
 _LOCAL_MODULUS = 1 << 31
 _CHECK_COLUMNS = 64
 _FLOAT_EXACT = 1 << 53
+# Below this a modulus's gcds come from a table of at most 32768 int32
+# entries: on a 165 x 165 int32 block, np.gcd took 46-58 ns an element and
+# a lookup 3.6 ns, about as long as % (2-core VM).
+_TABLE_BELOW = 1 << 15
 
 
 def _trial_divisors():
@@ -75,12 +79,13 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _factor(v: int) -> dict[int, int] | None:
-    """Prime factorization of v >= 1 by trial division below 2**16, or None
-    if a cofactor of 2**32 or more is left: below that it is prime."""
+def _trial_division(v: int, below: int) -> dict[int, int]:
+    """v >= 1 as pairwise coprime factors, each with its exponent: the
+    primes below `below`, by trial division, and the cofactor left, with
+    exponent 1, which is prime if it is below below**2."""
     out = {}
     for p in _trial_divisors():
-        if p * p > v:
+        if p >= below or p * p > v:
             break
         if v % p == 0:
             e = 0
@@ -88,12 +93,16 @@ def _factor(v: int) -> dict[int, int] | None:
                 v //= p
                 e += 1
             out[p] = e
-    else:
-        if v >= 1 << 32:
-            return None
     if v > 1:
         out[v] = 1
     return out
+
+
+def _factor(v: int) -> dict[int, int] | None:
+    """Prime factorization of v >= 1 by trial division below 2**16, or None
+    if a cofactor of 2**32 or more is left: below that it is prime."""
+    out = _trial_division(v, 1 << 16)
+    return None if max(out, default=1) >= 1 << 32 else out
 
 
 def _newton(coeffs: list[int], r: int) -> int:
@@ -126,21 +135,27 @@ def _integer_roots(coeffs: list[int]) -> list[int] | None:
     return roots if product == coeffs else None
 
 
+# The primes of _primes found so far for each n, largest first.  A tuple is
+# replaced, never changed, so a concurrent caller at worst finds one again.
+_PRIMES_FOUND: dict[int, tuple[int, ...]] = {}
+
+
 def _primes(n: int, above: int) -> list[int] | None:
     """The largest primes q with n * (q - 1)**2 + q < 2**53, so that an
     n-term dot product of residues mod q, plus one more residue, is exact
     in float64, largest first: just enough of them for their product to
-    exceed above, or None past 64."""
-    out, product = [], 1
-    for q in range(isqrt(_FLOAT_EXACT // n) | 1, 2, -2):
-        if n * (q - 1) ** 2 + q >= _FLOAT_EXACT or not _is_prime(q):
-            continue
-        out.append(q)
-        product *= q
+    exceed above, or None past 64.  Each is found once per n."""
+    found, product = _PRIMES_FOUND.get(n, ()), 1
+    for i in range(64):
+        if i == len(found):
+            start = found[-1] - 2 if found else isqrt(_FLOAT_EXACT // n) | 1
+            found += (next(q for q in range(start, 2, -2)
+                           if n * (q - 1) ** 2 + q < _FLOAT_EXACT
+                           and _is_prime(q)),)
+            _PRIMES_FOUND[n] = found
+        product *= found[i]
         if product > above:
-            return out
-        if len(out) == 64:
-            return None
+            return list(found[:i + 1])
     return None
 
 
@@ -210,51 +225,151 @@ def _annihilates(a: np.ndarray, coeffs: list[int], bound: int) -> bool:
     return True
 
 
+def _gcd_table(mod: int, w: np.ndarray) -> np.ndarray | None:
+    """gcd(x, mod) for x = 0..mod-1, as int32, when mod < _TABLE_BELOW and
+    the residues w can index it (not Python ints); else None.  Each power
+    p**j of a prime that divides mod puts a factor p on its multiples."""
+    if mod >= _TABLE_BELOW or w.dtype == object:
+        return None
+    table = np.ones(mod, dtype=np.int32)
+    for p, e in _factor(mod).items():
+        for j in range(1, e + 1):
+            table[::p ** j] *= p
+    return table
+
+
+def _swap(x: np.ndarray, y: np.ndarray) -> None:
+    """Exchange two equal-shaped views of one array by copying."""
+    x_copy = x.copy()
+    x[...] = y
+    y[...] = x_copy
+
+
+def _divides_block(d: int, w: np.ndarray, t: int,
+                   witness: dict[int, tuple[int, int]]) -> bool:
+    """Whether d divides every entry of the trailing block w[t:, t:].
+
+    witness[d] is an entry of w that d did not divide when last tried; an
+    update does not change an entry modulo a d that divides the pivot row,
+    so it mostly settles the question at once.  Then up to 8 rows and 8
+    columns spread over the block, which mostly settle the rest, and then
+    the whole block, each recording an entry d does not divide.
+    """
+    i, j = witness.get(d, (0, 0))
+    if min(i, j) >= t and w[i, j] % d:
+        return False
+    block = w[t:, t:]
+    rows, cols = (-(-n // 8) for n in block.shape)
+    for r, c in ((rows, 1), (1, cols), (1, 1)):
+        rest = block[::r, ::c] % d
+        k = int(rest.argmax())
+        if rest.flat[k]:
+            i, j = divmod(k, rest.shape[1])
+            witness[d] = (t + r * i, t + c * j)
+            return False
+    return True
+
+
+def _common_factor(w: np.ndarray, t: int, factors: dict[int, int],
+                   witness: dict[int, tuple[int, int]]) -> int:
+    """A common divisor c of the entries of the trailing block w[t:, t:],
+    from the pairwise coprime b**e of factors: b**e for each b that divides
+    them all if b**e does, else b, and 1 for the others.  c is not always
+    their largest common factor.  witness is _divides_block's."""
+    c = 1
+    for b, e in factors.items():
+        if _divides_block(b, w, t, witness):
+            c *= (b ** e if e > 1 and _divides_block(b ** e, w, t, witness)
+                  else b)
+    return c
+
+
 def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
     """gcd(x, mod) for the diagonal entries x of a diagonal form of the
     integer array a over Z/mod, mod > 0, one per row or column, whichever
     are fewer; a zero entry gives mod.  Residues are int32 when 2 mod**2 <
     2**31, int64 when mod < _LOCAL_MODULUS, and Python ints otherwise.
 
-    The pivot is an entry of least gcd with mod in the pivot column, or in
-    the pivot row if that holds a smaller one.  Where it does not divide an
-    entry of either (mod has two or more prime factors), one 2x2 Bezout
-    step of rows or columns replaces it by their gcd, whose gcd with mod is
-    a proper divisor of the pivot's.  Once it divides them all,
-    one update of the trailing block clears its column, and column
-    operations its row, which touch nothing else.  The pivot row and column
-    are reduced, so no product formed reaches 2 mod**2 and each update
-    subtracts at most (mod - 1)**2 from an entry: the trailing block is
-    reduced into [0, mod) after (2**31 - mod) // (mod - 1)**2 updates in
-    int32, and after (2**63 - mod) // (mod - 1)**2 otherwise.
+    A unit at (t, t) is the pivot.  Otherwise a unit in column t, then in
+    row t, is swapped there by copying, with gcds with mod read from a
+    table when mod < 2**15 (_gcd_table).  With no unit in either, let h be
+    the gcd of the least gcd in column t and the least in row t.  Every
+    common factor of the trailing block divides h, so only h's primes below
+    2**8, and the cofactor they leave, are tried on it (_common_factor).  A
+    common factor c divides the block and mod, and every later gcd is taken
+    times c: the block over Z/mod is c times a block over Z/(mod / c).  If
+    mod is left 1, the block was zero and every entry left is the original
+    mod.  Without a common factor, the entry of least gcd in column t, or
+    in row t if that holds a smaller one, is the pivot.  Where it does not divide an entry of either (mod has two or
+    more prime factors), one 2x2 Bezout step of rows or columns replaces it
+    by their gcd, whose gcd with mod is a proper divisor of the pivot's.
+    Once it divides them all, one update of the trailing block clears its
+    column, and column operations its row, which touch nothing else.  The
+    pivot row and column are reduced, so no product formed reaches 2
+    mod**2 and each update subtracts at most (mod - 1)**2 from an entry:
+    the trailing block is reduced into [0, mod) after (2**31 - mod) //
+    (mod - 1)**2 updates in int32, and after (2**63 - mod) // (mod - 1)**2
+    otherwise, and whenever mod is divided.
     """
     if mod < _LOCAL_MODULUS:
         wide = 2 * mod * mod >= _LOCAL_MODULUS
         w = (a % mod).astype(np.int64 if wide else np.int32, copy=False)
     else:
         w, wide = a.astype(object, copy=False) % mod, True
-    headroom = ((1 << (63 if wide else 31)) - mod) // max(mod - 1, 1) ** 2
-    spent = 0
+    top = 1 << (63 if wide else 31)
+    headroom = (top - mod) // max(mod - 1, 1) ** 2
+    table = _gcd_table(mod, w)
+
+    def gcds(x):
+        return np.gcd(x, mod) if table is None else table[x]
+
+    factors: dict[int, dict[int, int]] = {}  # of each h, from _trial_division
+    witness: dict[int, tuple[int, int]] = {}
+    size, scale, spent = min(w.shape), 1, 0
     out = []
-    for t in range(min(w.shape)):
+    for t in range(size):
         if spent == headroom:
             w[t:, t:] %= mod
             spent = 0
-        w[t:, t] %= mod
-        in_col = np.gcd(w[t:, t], mod)
-        i = int(in_col.argmin())
-        if in_col[i] > 1:
+        while True:  # until the pivot is at (t, t), row t and column t reduced
+            w[t:, t] %= mod
+            if gcd(int(w[t, t]), mod) == 1:
+                w[t, t + 1:] %= mod
+                break
+            in_col = gcds(w[t:, t])
+            i = int(in_col.argmin())
+            if in_col[i] == 1:
+                _swap(w[t, t:], w[t + i, t:])
+                w[t, t + 1:] %= mod
+                break
             w[t, t:] %= mod
-            in_row = np.gcd(w[t, t:], mod)
+            in_row = gcds(w[t, t:])
             j = int(in_row.argmin())
-            if in_row[j] < in_col[i]:
-                w[t:, [t, t + j]] = w[t:, [t + j, t]]
-                w[t:, t] %= mod
-                i = 0
-        if i:
-            w[[t, t + i], t:] = w[[t + i, t], t:]
-        if i or in_col[i] == 1:  # else the row search reduced row t
-            w[t, t:] %= mod
+            if in_row[j] == 1:
+                _swap(w[t:, t], w[t:, t + j])
+                w[t + 1:, t] %= mod
+                break
+            h = gcd(int(in_col[i]), int(in_row[j]))
+            if h not in factors:
+                factors[h] = _trial_division(h, 1 << 8)
+            c = _common_factor(w, t, factors[h], witness)
+            if c == 1:
+                if in_row[j] < in_col[i]:
+                    _swap(w[t:, t], w[t:, t + j])
+                    w[t:, t] %= mod
+                elif i:
+                    _swap(w[t, t:], w[t + i, t:])
+                    w[t, t:] %= mod
+                break
+            block = w[t:, t:]
+            block %= mod
+            block //= c
+            mod //= c
+            scale *= c
+            if mod == 1:
+                return out + [scale] * (size - t)
+            headroom, spent = (top - mod) // max(mod - 1, 1) ** 2, 0
+            table = _gcd_table(mod, w)
         while True:
             p = int(w[t, t])
             g = gcd(p, mod)
@@ -267,9 +382,9 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
                     # rows t and i of v become (h, ...) and (0, ...)
                     x = int(v[i, t])
                     h, s, r = _xgcd(p, x)
-                    top, low = v[t, t:].copy(), v[i, t:] % mod
-                    v[t, t:] = (s * top + r * low) % mod
-                    v[i, t:] = (p // h * low - x // h * top) % mod
+                    top_row, low = v[t, t:].copy(), v[i, t:] % mod
+                    v[t, t:] = (s * top_row + r * low) % mod
+                    v[i, t:] = (p // h * low - x // h * top_row) % mod
                     break
             else:
                 break
@@ -279,7 +394,7 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
             f = col * pow(p // g, -1, rest) % rest
             w[t + 1:, t + 1:] -= f[:, None] * w[t, t + 1:]
             spent += 1
-        out.append(g)
+        out.append(g * scale)
     return out
 
 

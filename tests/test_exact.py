@@ -17,8 +17,10 @@ from setsmith.oracle import _scheme_array, scheme_element_matrix
 from setsmith.proof import (_bareiss_det, gcd_minors, index, is_unimodular,
                             unimodular_completion, unimodular_inverse)
 from setsmith.scheme import SchemeParams, degree, eigenvalues, smith_group
+from setsmith import valence
 from setsmith.valence import (_annihilates, _diagonal_mod, _factor,
-                              _integer_roots, _valence_parts, valence_finish)
+                              _gcd_table, _integer_roots, _is_prime, _primes,
+                              _valence_parts, valence_finish)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -568,12 +570,20 @@ def _prime_powers(primes, bound):
                                 if pe[0] ** e < bound))
 
 
+# moduli with repeated primes: int32, int64 (from 42336) and Python ints
+_REPEATED = st.sampled_from([2 ** 3 * 3 ** 2 * 5, 2 ** 10, 3 ** 4 * 5 ** 2,
+                             2 ** 5 * 3 ** 3 * 7 ** 2, 77520, 353430,
+                             2 ** 40 * 3 ** 5])
+
+
 def _moduli():
     """1, a prime power, or a product of coprime prime powers: below 2**15,
     where 2 mod**2 < 2**31 and the residues are int32, below 2**31, where
     they are int64, and from 2**31 to about 2**200, where they are Python
     ints.  Near 2**15 the int32 headroom is 2 updates (32767 = 7*31*151),
-    so twelve pivots reach it; 32768 is the first int64 modulus."""
+    so twelve pivots reach it; 32768 is the first int64 modulus.  Moduli
+    with repeated primes, in each width, give a common factor of the
+    trailing block something to divide out."""
     powers = _prime_powers([2, 3, 5, 7, 11, 13, 65521, 2 ** 31 - 1], 2 ** 31)
     narrow = _prime_powers([2, 3, 5, 7, 11, 13, 17, 31, 151, 32749], 2 ** 15)
     wide = st.sampled_from([2 ** 31, (2 ** 31 - 1) ** 2, 65521 ** 4,
@@ -584,9 +594,48 @@ def _moduli():
                      st.lists(narrow, min_size=2, max_size=4)
                      .map(lambda parts: _pack(parts, 2 ** 15)),
                      st.sampled_from([32749, 30030, 32130, 32767, 32768]),
+                     _REPEATED,
                      wide,
                      st.lists(st.one_of(wide, powers), min_size=2, max_size=5)
                      .map(lambda parts: _pack(parts, 2 ** 200)))
+
+
+def _unimodular(n, rng):
+    """A product of n elementary row operations with multipliers +-1, +-2
+    on the n x n identity."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def _times(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _udv(rows, cols, mod, rng):
+    """U D V with U, V unimodular and D diagonal, its entries 0 or
+    products of up to four primes of mod (2 if it has none below 19),
+    and half the time all of it times one of those primes.  Then, with
+    more than 8 rows and columns, half of those have 1 added at (1, 1),
+    which the rows and columns a common factor is first tried on at the
+    first pivot leave out."""
+    primes = [p for p in (2, 3, 5, 7, 11, 13, 17) if mod % p == 0] or [2]
+    d = [0 if rng.random() < 0.15
+         else prod(rng.choices(primes, k=rng.randint(0, 4)))
+         for _ in range(min(rows, cols))]
+    diag = [[d[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    data = _times(_times(_unimodular(rows, rng), diag),
+                  _unimodular(cols, rng))
+    if rng.random() < 0.5:
+        c = rng.choice(primes)
+        data = [[c * x for x in row] for row in data]
+        if min(rows, cols) > 8 and rng.random() < 0.5:
+            data[1][1] += 1
+    return data
 
 
 def _pack(parts, bound=2 ** 31):
@@ -599,22 +648,84 @@ def _pack(parts, bound=2 ** 31):
     return out
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(rows=st.integers(1, 12), cols=st.integers(1, 12), mod=_moduli(),
-       big=st.booleans(), seed=st.integers(0, 2 ** 32))
+       big=st.booleans(), seed=st.integers(0, 2 ** 32),
+       udv=st.one_of(st.none(), st.tuples(st.integers(9, 16),
+                                          st.integers(9, 16), _REPEATED)))
 def test_diagonal_mod_gives_the_gcds_of_the_invariant_factors(rows, cols, mod,
-                                                             big, seed):
+                                                             big, seed, udv):
     # entries rich in the small primes, so that pivots with incomparable
-    # gcds meet under a composite modulus, and with big, some up to 2**62
+    # gcds meet under a composite modulus, and with big, some up to 2**62;
+    # or, with udv, _udv's matrices of up to 16 rows and columns, whose
+    # trailing blocks share primes with a modulus that repeats them
     rng = random.Random(seed)
     factors = [0, 1, 2, 3, 4, 6, 8, 9, 12, 27, 35, 65521]
     data = [[rng.randint(-2 ** 62, 2 ** 62) if big and rng.random() < 0.2
              else rng.randint(-9, 9) * rng.choice(factors)
              for _ in range(cols)] for _ in range(rows)]
+    if udv is not None:
+        rows, cols, mod = udv
+        data = _udv(rows, cols, mod, rng)
     diag = _chain(_eliminate([row[:] for row in data], rows, cols))
     want = [gcd(d, mod) for d in diag] + [mod] * (min(rows, cols) - len(diag))
     got = _chain(_diagonal_mod(np.array(data, dtype=np.int64), mod))
     assert got == tuple(want)
+
+
+def test_kneser_laplacian_divides_out_a_common_factor(monkeypatch):
+    # the Kneser Laplacian (21, 2): 210 columns, one elimination modulo
+    # 353430 = 2 * 3**3 * 5 * 7 * 11 * 17 on int64, where no gcd table
+    # applies; its trailing blocks share primes of the modulus
+    found, common_factor = [], valence._common_factor
+
+    def spy(*args):
+        found.append(common_factor(*args))
+        return found[-1]
+    monkeypatch.setattr(valence, "_common_factor", spy)
+    p = SchemeParams(21, 2, 2, 0)
+    lam = degree(21, 2, 0)
+    a = _scheme_array(p, None, lam)
+    f = _chain(valence_finish(a))
+    assert any(c > 1 for c in found)
+    assert group_from_smith(SmithForm(f, len(f)), a.shape[1]) \
+        == smith_group(p, None, lam).group
+
+
+def test_gcd_table_holds_the_gcds_with_the_modulus():
+    w = np.zeros((1, 1), dtype=np.int32)
+    for mod in [*range(1, 400), 2 ** 14, 30030, 32130, 32767]:
+        table = _gcd_table(mod, w)
+        assert table.dtype == np.int32
+        assert np.array_equal(table, np.gcd(np.arange(mod), mod))
+    # no table from 2**15 on, or for Python-int residues
+    assert _gcd_table(2 ** 15, w) is None
+    assert _gcd_table(30, w.astype(object)) is None
+
+
+def test_primes_are_found_once_per_size(monkeypatch):
+    # the reference: the scan that _primes makes once per n
+    def scan(n, above):
+        out, product = [], 1
+        for q in range(isqrt(2 ** 53 // n) | 1, 2, -2):
+            if n * (q - 1) ** 2 + q < 2 ** 53 and _is_prime(q):
+                out.append(q)
+                product *= q
+                if product > above:
+                    return out
+                if len(out) == 64:
+                    return None
+
+    sizes = (20, 210, 3003)
+    aboves = (1, 2 ** 30, 2 ** 200, 2 ** 1400, 2 ** 1700, 2 ** 3000)
+    want = {(n, above): scan(n, above) for n in sizes for above in aboves}
+    assert want[20, 2 ** 1400] is not None and want[20, 2 ** 1700] is None
+    monkeypatch.setattr(valence, "_PRIMES_FOUND", {})
+    for (n, above), primes in want.items():
+        assert _primes(n, above) == primes
+    monkeypatch.setattr(valence, "_is_prime", None)  # all found already
+    for (n, above), primes in reversed(want.items()):
+        assert _primes(n, above) == primes
 
 
 def test_array_entry_points_take_integer_dtypes_only(monkeypatch):

@@ -437,6 +437,19 @@ def test_smith_group_example():
                                              (1, 12), (6,)]
 
 
+@pytest.mark.parametrize("p, coeffs, lam", [
+    (SchemeParams(12, 3, 3, 3), (0, 1, 3, 0), 0),
+    (SchemeParams(9, 2, 3, 1), (3, -1, 2), 0),
+    (SchemeParams(59, 20, 20, 19), None, degree(59, 20, 19))])
+def test_reducing_a_block_leaves_its_matrix_unchanged(p, coeffs, lam):
+    # ms_matrices hands its rows to each IntMatrix uncopied, so the block
+    # reduction must copy them, on the list lane and past it (21 x 21)
+    res = smith_group(p, coeffs, lam)
+    assert [(b.matrix.shape(), b.matrix.data) for b in res.blocks] == [
+        (m.entries.shape(), m.entries.data)
+        for m in ms_matrices(p, coeffs, lam)]
+
+
 def test_smith_group_kneser_adjacency_matches_eigenvalue_diagonal():
     # the disjointness matrix has a diagonal form listing its eigenvalues
     # C(5-j, 3-j) with multiplicity mu_j; as a group that's what the block

@@ -1,11 +1,13 @@
 """Exact integer matrices, Smith normal form, and abelian group invariants.
 
-Everything here is exact.  The Smith reduction has two lanes.  A matrix
-with fewer than _LIST_LANE_BELOW rows or columns (every M_s block) is
-reduced on lists of Python integers, which cannot overflow: below
-_BEZOUT_BELOW rows and columns by one 2x2 Bezout step per entry, and past
-that by Euclid's rounded quotients, whose entries grow less.  Any other
-one (the dense oracle's matrices) goes to the valence lane
+Everything here is exact.  The Smith reduction has two lanes.  The list
+lane (_eliminate) works on lists of Python integers, which cannot
+overflow: below _BEZOUT_BELOW rows and columns by one 2x2 Bezout step per
+entry, and past that by Euclid's rounded quotients, whose entries grow
+less.  It reduces every M_s block, whatever its size, because
+scheme.smith_group calls it directly; smith_normal_form sends it a matrix
+with fewer than _LIST_LANE_BELOW rows or columns.  Any other one (the
+dense oracle's matrices) goes to the valence lane
 (setsmith.valence), which works modulo moduli bounded by the valence of
 the matrix, or of its Gram matrix when it is not square, and checks its
 minimal polynomial exactly.  A matrix the valence lane refuses is reduced
@@ -25,6 +27,7 @@ from __future__ import annotations
 import sys
 from math import gcd, prod
 from itertools import groupby
+from operator import index
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -42,9 +45,10 @@ _INT64_CEILING = 1 << 62
 # against 0.56 ms at 20, about even at 21 to 24, and 1.43 against 0.80 ms
 # at 32; on random matrices with entries in -9..9, 0.25 against 3.8 ms at
 # 12, and from 20 columns on, where every one is refused at the Krylov
-# degree cap, the list lane's time plus 0.6-0.7 ms.  So the M_s blocks
-# (at most (k+1)x(k+1)) take the list lane, and dense matrices of 20 or
-# more columns and rows the valence lane.
+# degree cap, the list lane's time plus 0.6-0.7 ms.  So dense matrices of
+# 20 or more columns and rows take the valence lane.  (It refused all 252
+# M_s blocks of 20 or more rows offered to it, k = 19 to 32, which is why
+# scheme.smith_group sends none.)
 _LIST_LANE_BELOW = 20
 
 # _eliminate takes Bezout steps (Kannan and Bachem, SIAM J. Comput. 8, 1979)
@@ -79,7 +83,10 @@ class IntMatrix:
             rows, cols = data.shape
             data = data.tolist()
         else:
-            data = [list(row) for row in data]
+            try:  # ints, bools and numpy integers; never a rounded float
+                data = [list(map(index, row)) for row in data]
+            except TypeError as exc:
+                raise ExactError(f"matrix entries must be integers: {exc}") from None
             rows = len(data)
             if cols is None:
                 cols = len(data[0]) if rows else 0
@@ -126,10 +133,10 @@ class IntMatrix:
             cols = len(entries)
         if len(entries) > min(rows, cols):
             raise ExactError("too many diagonal entries for the given shape")
-        out = cls.zeros(rows, cols)
+        data = [[0] * cols for _ in range(rows)]
         for i, e in enumerate(entries):
-            out.data[i][i] = e
-        return out
+            data[i][i] = e
+        return cls(data, cols=cols)
 
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -486,7 +493,11 @@ class AbelianGroup(_AbelianGroupFields):
     __slots__ = ()
 
     def __new__(cls, runs=(), free_rank=0):
-        runs = tuple((d, m) for d, m in runs)
+        try:  # refused, not rounded, like IntMatrix entries
+            runs = tuple((index(d), index(m)) for d, m in runs)
+            free_rank = index(free_rank)
+        except TypeError as exc:
+            raise ExactError(f"a group needs integers: {exc}") from None
         if any(d <= 1 for d, _ in runs):
             raise ExactError("invariant factors must all exceed 1")
         if any(m < 1 for _, m in runs):

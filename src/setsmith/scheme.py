@@ -21,8 +21,8 @@ from math import comb
 from operator import index
 from typing import NamedTuple
 
-from .exact import (AbelianGroup, ExactError, IntMatrix, group_from_diagonal,
-                    smith_normal_form)
+from .exact import (AbelianGroup, ExactError, IntMatrix, _eliminate,
+                    group_from_diagonal)
 from .subsets import binomial, mu
 
 
@@ -237,12 +237,14 @@ def smith_group(p: SchemeParams, coeffs=None, lam: int = 0) -> SmithGroupResult:
     entries: list[tuple[int, int]] = []
     used_rank = 0
     for m in ms_matrices(p, coeffs, lam):
-        snf = smith_normal_form(m.entries)
-        slots = min(m.entries.rows, m.entries.cols)
-        delta = snf.invariant_factors + (0,) * (slots - snf.rank)
-        blocks.append(BlockReport(m.s, m.entries, m.multiplicity, delta, snf.rank))
-        entries.extend((d, m.multiplicity) for d in snf.invariant_factors)
-        used_rank += snf.rank * m.multiplicity
+        # the list lane at every k, on a copy: the result keeps the block
+        rows, cols = m.entries.shape()
+        diag = _eliminate([row[:] for row in m.entries.data], rows, cols)
+        rank = len(diag)
+        delta = tuple(diag) + (0,) * (min(rows, cols) - rank)
+        blocks.append(BlockReport(m.s, m.entries, m.multiplicity, delta, rank))
+        entries.extend((d, m.multiplicity) for d in diag)
+        used_rank += rank * m.multiplicity
     free_rank = comb(p.n, p.kc) - used_rank
     entries.append((0, free_rank))
     return SmithGroupResult(p, coeffs, lam, group_from_diagonal(entries),

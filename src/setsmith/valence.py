@@ -9,21 +9,22 @@ by CRT, and f(G) = 0 is checked exactly by float64 matrix products, whose
 partial sums stay integers below 2**53 (as in FFLAS-FFPACK, Dumas, Giorgi
 and Pernet, ACM TOMS 2008).  With s <= 1, v = |g(0)| bounds every prime
 power of the Smith group.  v is split into pairwise coprime parts
-b**v_b(v), over the roots of f when they are all integers and by trial
-division otherwise; with x | f a rank prime that does not divide v joins
-them.  The parts below 2**31 are packed into moduli M < 2**31, worked on
+b**v_b(v), over the roots of f when they are all integers, and otherwise
+over the primes below 2**16 and the cofactor they leave, prime or not;
+with x | f the least prime that does not divide v joins them, to find the
+rank.  The parts below 2**31 are packed into moduli M < 2**31, worked on
 in int32 if 2 M**2 < 2**31 and in int64 otherwise; the larger parts make
 one modulus, worked on in Python ints.  One elimination of A over Z/M for
 each M gives every gcd(d_i, M), so every invariant factor.  Entries of any
-size are taken.  The lane refuses a Krylov degree over 16, a failed check,
-x^2 | f, a valence that neither splits over integer roots nor factors (a
-cofactor of 2**32 or more after trial division below 2**16), and a case
-that needs more than 64 primes; the caller then runs the list lane.
+size are taken.  The lane refuses only where its certificate fails: a
+Krylov degree over 16, a failed check, x^2 | f, and a case that needs
+more than 64 primes; the caller then runs the list lane.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import count
 from math import gcd, isqrt
 
 import numpy as np
@@ -55,30 +56,6 @@ def _trial_divisors():
         yield k + 1
 
 
-def _is_prime(q: int) -> bool:
-    """Miller-Rabin to the bases 2, 7 and 61: exact for q < 4759123141."""
-    if q < 2:
-        return False
-    for p in (2, 7, 61):
-        if q % p == 0:
-            return q == p
-    d, s = q - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for base in (2, 7, 61):
-        x = pow(base, d, q)
-        if x in (1, q - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % q
-            if x == q - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _trial_division(v: int, below: int) -> dict[int, int]:
     """v >= 1 as pairwise coprime factors, each with its exponent: the
     primes below `below`, by trial division, and the cofactor left, with
@@ -96,13 +73,6 @@ def _trial_division(v: int, below: int) -> dict[int, int]:
     if v > 1:
         out[v] = 1
     return out
-
-
-def _factor(v: int) -> dict[int, int] | None:
-    """Prime factorization of v >= 1 by trial division below 2**16, or None
-    if a cofactor of 2**32 or more is left: below that it is prime."""
-    out = _trial_division(v, 1 << 16)
-    return None if max(out, default=1) >= 1 << 32 else out
 
 
 def _newton(coeffs: list[int], r: int) -> int:
@@ -144,14 +114,15 @@ def _primes(n: int, above: int) -> list[int] | None:
     """The largest primes q with n * (q - 1)**2 + q < 2**53, so that an
     n-term dot product of residues mod q, plus one more residue, is exact
     in float64, largest first: just enough of them for their product to
-    exceed above, or None past 64.  Each is found once per n."""
+    exceed above, or None past 64.  Each is found once per n, by trial
+    division below 2**16, which decides it, as q < 2**27."""
     found, product = _PRIMES_FOUND.get(n, ()), 1
     for i in range(64):
         if i == len(found):
             start = found[-1] - 2 if found else isqrt(_FLOAT_EXACT // n) | 1
             found += (next(q for q in range(start, 2, -2)
                            if n * (q - 1) ** 2 + q < _FLOAT_EXACT
-                           and _is_prime(q)),)
+                           and _trial_division(q, 1 << 16) == {q: 1}),)
             _PRIMES_FOUND[n] = found
         product *= found[i]
         if product > above:
@@ -225,14 +196,14 @@ def _annihilates(a: np.ndarray, coeffs: list[int], bound: int) -> bool:
     return True
 
 
-def _gcd_table(mod: int, w: np.ndarray) -> np.ndarray | None:
-    """gcd(x, mod) for x = 0..mod-1, as int32, when mod < _TABLE_BELOW and
-    the residues w can index it (not Python ints); else None.  Each power
-    p**j of a prime that divides mod puts a factor p on its multiples."""
-    if mod >= _TABLE_BELOW or w.dtype == object:
+def _gcd_table(mod: int) -> np.ndarray | None:
+    """gcd(x, mod) for x = 0..mod-1, as int32, when mod < _TABLE_BELOW; else
+    None.  Each power p**j of a prime that divides mod puts a factor p on
+    its multiples (the cofactor left by the primes below 2**8 is prime)."""
+    if mod >= _TABLE_BELOW:
         return None
     table = np.ones(mod, dtype=np.int32)
-    for p, e in _factor(mod).items():
+    for p, e in _trial_division(mod, 1 << 8).items():
         for j in range(1, e + 1):
             table[::p ** j] *= p
     return table
@@ -292,24 +263,27 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
 
     A unit at (t, t) is the pivot.  Otherwise a unit in column t, then in
     row t, is swapped there by copying, with gcds with mod read from a
-    table when mod < 2**15 (_gcd_table).  With no unit in either, let h be
-    the gcd of the least gcd in column t and the least in row t.  Every
-    common factor of the trailing block divides h, so only h's primes below
-    2**8, and the cofactor they leave, are tried on it (_common_factor).  A
-    common factor c divides the block and mod, and every later gcd is taken
-    times c: the block over Z/mod is c times a block over Z/(mod / c).  If
-    mod is left 1, the block was zero and every entry left is the original
-    mod.  Without a common factor, the entry of least gcd in column t, or
-    in row t if that holds a smaller one, is the pivot.  Where it does not divide an entry of either (mod has two or
-    more prime factors), one 2x2 Bezout step of rows or columns replaces it
-    by their gcd, whose gcd with mod is a proper divisor of the pivot's.
-    Once it divides them all, one update of the trailing block clears its
-    column, and column operations its row, which touch nothing else.  The
-    pivot row and column are reduced, so no product formed reaches 2
-    mod**2 and each update subtracts at most (mod - 1)**2 from an entry:
-    the trailing block is reduced into [0, mod) after (2**31 - mod) //
-    (mod - 1)**2 updates in int32, and after (2**63 - mod) // (mod - 1)**2
-    otherwise, and whenever mod is divided.
+    table when mod < 2**15 (_gcd_table).  With no unit in either, and mod
+    below 2**31, let h be the gcd of the least gcd in column t and the
+    least in row t.  Every common factor of the trailing block divides h,
+    so only h's primes below 2**8, and the cofactor they leave, are tried
+    on it (_common_factor).  A common factor c divides the block and mod,
+    and every later gcd is taken times c: the block over Z/mod is c times a
+    block over Z/(mod / c).  If mod is left 1, the block was zero and every
+    entry left is the original mod.  On Python ints no division is tried:
+    there the tries cost about what the divisions save.  Without a common
+    factor, the entry of least gcd in column t, or in row t if that holds a
+    smaller one, is the pivot.  Where it does not divide an entry of either
+    (mod has two or more prime factors), one 2x2 Bezout step of rows or
+    columns replaces it by their gcd, whose gcd with mod is a proper
+    divisor of the pivot's.  Once it divides them all, one update of the
+    trailing block clears its column, and column operations its row, which
+    touch nothing else.  The pivot row and column are reduced, so no
+    product formed reaches 2 mod**2 and each update subtracts at most
+    (mod - 1)**2 from an entry: the trailing block is reduced into
+    [0, mod) after (2**31 - mod) // (mod - 1)**2 updates in int32, and
+    after (2**63 - mod) // (mod - 1)**2 otherwise, and whenever mod is
+    divided.
     """
     if mod < _LOCAL_MODULUS:
         wide = 2 * mod * mod >= _LOCAL_MODULUS
@@ -318,7 +292,7 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
         w, wide = a.astype(object, copy=False) % mod, True
     top = 1 << (63 if wide else 31)
     headroom = (top - mod) // max(mod - 1, 1) ** 2
-    table = _gcd_table(mod, w)
+    table = _gcd_table(mod)
 
     def gcds(x):
         return np.gcd(x, mod) if table is None else table[x]
@@ -349,10 +323,12 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
                 _swap(w[t:, t], w[t:, t + j])
                 w[t + 1:, t] %= mod
                 break
-            h = gcd(int(in_col[i]), int(in_row[j]))
-            if h not in factors:
-                factors[h] = _trial_division(h, 1 << 8)
-            c = _common_factor(w, t, factors[h], witness)
+            c = 1
+            if w.dtype != object:
+                h = gcd(int(in_col[i]), int(in_row[j]))
+                if h not in factors:
+                    factors[h] = _trial_division(h, 1 << 8)
+                c = _common_factor(w, t, factors[h], witness)
             if c == 1:
                 if in_row[j] < in_col[i]:
                     _swap(w[t:, t], w[t:, t + j])
@@ -369,7 +345,7 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
             if mod == 1:
                 return out + [scale] * (size - t)
             headroom, spent = (top - mod) // max(mod - 1, 1) ** 2, 0
-            table = _gcd_table(mod, w)
+            table = _gcd_table(mod)
         while True:
             p = int(w[t, t])
             g = gcd(p, mod)
@@ -398,14 +374,14 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
     return out
 
 
-def _valence_parts(coeffs: list[int], v: int) -> list[int] | None:
-    """Pairwise coprime b**v_b(v) whose product is v: b over the coprime
-    base of the roots of f when they are all integers, else the primes of
-    v; None if v does not factor."""
+def _valence_parts(coeffs: list[int], v: int) -> list[int]:
+    """Pairwise coprime parts whose product is v: b**v_b(v) for b over the
+    coprime base of the roots of f when they are all integers, else p**e
+    for the primes p below 2**16 and the cofactor they leave, which need
+    not be prime from 2**32 on: _diagonal_mod takes any modulus."""
     roots = _integer_roots(coeffs)
     if roots is None:
-        factors = _factor(v)
-        return None if factors is None else [p ** e for p, e in factors.items()]
+        return [p ** e for p, e in _trial_division(v, 1 << 16).items()]
     parts = []
     for b in _coprime_base(abs(r) for r in roots if r):
         part = 1
@@ -414,6 +390,12 @@ def _valence_parts(coeffs: list[int], v: int) -> list[int] | None:
             part *= b
         parts.append(part)
     return parts
+
+
+def _rank_prime(v: int) -> int:
+    """The least prime that does not divide v >= 1: the least q > 1 coprime
+    to v, which is prime (its prime factors are coprime to v), at most v+1."""
+    return next(q for q in count(2) if gcd(q, v) == 1)
 
 
 def valence_finish(a: np.ndarray) -> list[int] | None:
@@ -433,11 +415,12 @@ def valence_finish(a: np.ndarray) -> list[int] | None:
     col(G) (x) Q, since col(G) lies in col(a) and both have the rank of
     a; so y is torsion modulo col(G), and v y is in col(G), inside
     col(a).  So every invariant factor d_i of a but zero divides v, and
-    gcd(d_i, M) for M = v gives it.  With s = 1, M also takes a prime q
-    that does not divide v: gcd(d_i, q) is q exactly when d_i = 0.  M is
-    split into coprime moduli: the parts of 2**31 or more into one, the
-    others largest first into moduli below 2**31.  The diagonal of a modulo
-    each, put in chain order by group_from_diagonal, gives gcd(d_i, M).
+    gcd(d_i, M) for M = v gives it.  With s = 1, M also takes the prime q
+    of _rank_prime(v), which does not divide v: gcd(d_i, q) is q exactly
+    when d_i = 0.  M is split into coprime moduli: the parts of 2**31 or
+    more into one, the others largest first into moduli below 2**31.  The
+    diagonal of a modulo each, put in chain order by group_from_diagonal,
+    gives gcd(d_i, M).
     """
     if a.shape[0] > a.shape[1]:
         a = a.T
@@ -466,15 +449,11 @@ def valence_finish(a: np.ndarray) -> list[int] | None:
     coeffs = [c - modulus if 2 * c > modulus else c for c in coeffs]
     s = 0 if coeffs[0] else 1
     v = abs(coeffs[s])
-    parts = _valence_parts(coeffs, v) if v else None
-    if parts is None or not _annihilates(gram, coeffs, bound):
-        return None
-    rank_prime = 0
-    if s:
-        # v is below the CRT modulus, a product of at most 64 primes below
-        # 2**27, and the primes below 2**16 multiply to far more than that,
-        # so one of them does not divide v
-        rank_prime = next(p for p in _trial_divisors() if v % p and _is_prime(p))
+    if not v or not _annihilates(gram, coeffs, bound):
+        return None  # x^2 | f, or f(G) != 0
+    parts = _valence_parts(coeffs, v)
+    rank_prime = _rank_prime(v) if s else 0
+    if rank_prime:
         parts.append(rank_prime)
     moduli: list[int] = []
     for part in sorted(parts, reverse=True):

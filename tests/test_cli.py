@@ -476,6 +476,9 @@ def test_block_commands_load_neither_numpy_nor_valence(tmp_path):
         ["eigenvalues", "--n", "12", "--k", "3", "--coeffs", "1,0,2,3",
          "--lambda", "2"],
         ["snf", "--in", str(path)],
+        # blocks of 21 rows, which the list lane reduces at every size
+        ["smith-group", "--n", "59", "--k", "20", "--ell", "19", "--lambda",
+         "degree"],
         # the dense oracle loads numpy: the control
         ["oracle", "--n", "8", "--k", "2", "--ell", "1"],
     ]

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, groupby
+from itertools import combinations, count, groupby
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -18,9 +18,9 @@ from setsmith.proof import (_bareiss_det, gcd_minors, index, is_unimodular,
                             unimodular_completion, unimodular_inverse)
 from setsmith.scheme import SchemeParams, degree, eigenvalues, smith_group
 from setsmith import valence
-from setsmith.valence import (_annihilates, _diagonal_mod, _factor,
-                              _gcd_table, _integer_roots, _is_prime, _primes,
-                              _valence_parts, valence_finish)
+from setsmith.valence import (_annihilates, _diagonal_mod, _gcd_table,
+                              _integer_roots, _primes, _rank_prime,
+                              _trial_division, _valence_parts, valence_finish)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -357,15 +357,18 @@ def _nilpotent_corner(size):
 _REFUSED = {
     "x^2 divides mu": _with_unit_pair(_nilpotent_corner(18)),
     "degree over the cap": _with_unit_pair(_diag(range(2, 20))),
-    "cofactor too large to factor": _with_unit_pair(_diag([65537 * 65539] * 18)),
 }
 
 # matrices past int64 arithmetic, which the valence lane answers: a Gram
-# matrix with entries past 2**62, and a modulus 2**31 worked on in Python ints
+# matrix with entries past 2**62, a modulus 2**31 worked on in Python ints,
+# and a valence 65537 * 65539 whose minimal polynomial has irrational
+# roots, so that trial division below 2**16 leaves all of it as a cofactor,
+# which becomes one modulus, composite, on Python ints
 _PAST_INT64 = {
     "non-square": _with_unit_pair([row + [5] for row in _diag([2, 3] * 9)],
                                   width=19),
     "p^e at least 2^31": _with_unit_pair(_diag([2 ** 31] * 18)),
+    "cofactor too large to factor": _with_unit_pair(_diag([65537 * 65539] * 18)),
 }
 
 
@@ -475,7 +478,7 @@ def test_valence_finish_splits_an_unfactored_valence_over_integer_roots():
     roots = _integer_roots(mu)
     assert roots is not None and 0 not in roots
     v = abs(prod(roots))
-    assert _factor(v) is None
+    assert max(_trial_division(v, 2 ** 16)) >= 2 ** 32
     assert sorted(_valence_parts(mu, v)) == sorted(
         [2 ** 6, 3 ** 4, 119 ** 2, 179, 715, 84811, 85999])
     f = _chain(valence_finish(a))
@@ -580,14 +583,17 @@ def _moduli():
     """1, a prime power, or a product of coprime prime powers: below 2**15,
     where 2 mod**2 < 2**31 and the residues are int32, below 2**31, where
     they are int64, and from 2**31 to about 2**200, where they are Python
-    ints.  Near 2**15 the int32 headroom is 2 updates (32767 = 7*31*151),
-    so twelve pivots reach it; 32768 is the first int64 modulus.  Moduli
-    with repeated primes, in each width, give a common factor of the
-    trailing block something to divide out."""
+    ints, among them products of primes above 2**16, as the cofactor that
+    trial division leaves of a valence can be.  Near 2**15 the int32
+    headroom is 2 updates (32767 = 7*31*151), so twelve pivots reach it;
+    32768 is the first int64 modulus.  Moduli with repeated primes, in
+    each width, give a common factor of the trailing block something to
+    divide out."""
     powers = _prime_powers([2, 3, 5, 7, 11, 13, 65521, 2 ** 31 - 1], 2 ** 31)
     narrow = _prime_powers([2, 3, 5, 7, 11, 13, 17, 31, 151, 32749], 2 ** 15)
     wide = st.sampled_from([2 ** 31, (2 ** 31 - 1) ** 2, 65521 ** 4,
-                            2 ** 61 - 1, 3 ** 40])
+                            2 ** 61 - 1, 3 ** 40, 65537 * 65539,
+                            65537 * 65539 * 65543])
     return st.one_of(st.just(1), powers,
                      st.lists(powers, min_size=2, max_size=4).map(_pack),
                      narrow,
@@ -693,18 +699,20 @@ def test_kneser_laplacian_divides_out_a_common_factor(monkeypatch):
 
 
 def test_gcd_table_holds_the_gcds_with_the_modulus():
-    w = np.zeros((1, 1), dtype=np.int32)
     for mod in [*range(1, 400), 2 ** 14, 30030, 32130, 32767]:
-        table = _gcd_table(mod, w)
+        table = _gcd_table(mod)
         assert table.dtype == np.int32
         assert np.array_equal(table, np.gcd(np.arange(mod), mod))
-    # no table from 2**15 on, or for Python-int residues
-    assert _gcd_table(2 ** 15, w) is None
-    assert _gcd_table(30, w.astype(object)) is None
+    assert _gcd_table(2 ** 15) is None
+
+
+def _is_prime(q):
+    return q > 1 and all(q % p for p in range(2, isqrt(q) + 1))
 
 
 def test_primes_are_found_once_per_size(monkeypatch):
-    # the reference: the scan that _primes makes once per n
+    # the reference: the scan that _primes makes once per n, with its own
+    # primality test
     def scan(n, above):
         out, product = [], 1
         for q in range(isqrt(2 ** 53 // n) | 1, 2, -2):
@@ -723,9 +731,25 @@ def test_primes_are_found_once_per_size(monkeypatch):
     monkeypatch.setattr(valence, "_PRIMES_FOUND", {})
     for (n, above), primes in want.items():
         assert _primes(n, above) == primes
-    monkeypatch.setattr(valence, "_is_prime", None)  # all found already
+    monkeypatch.setattr(valence, "_trial_division", None)  # all found already
     for (n, above), primes in reversed(want.items()):
         assert _primes(n, above) == primes
+
+
+def test_rank_prime_is_the_least_prime_not_dividing_the_valence():
+    # the reference: the primes in increasing order, each tested for
+    # primality, and the first of them that does not divide v
+    def first_prime_not_dividing(v):
+        return next(p for p in count(2) if v % p and _is_prime(p))
+
+    primes = [p for p in range(2, 200) if _is_prime(p)]
+    primorials = [prod(primes[:i]) for i in range(1, len(primes) + 1)]
+    values = [*range(1, 20000), *primorials, *(x - 1 for x in primorials),
+              *(x * x for x in primorials), *(x * 65537 for x in primorials),
+              2 ** 64, 3 ** 40 * 2 ** 20]
+    for v in values:
+        assert _rank_prime(v) == first_prime_not_dividing(v), v
+    assert max(map(_rank_prime, primorials)) > 199
 
 
 def test_array_entry_points_take_integer_dtypes_only(monkeypatch):
@@ -766,6 +790,29 @@ def test_array_entry_points_take_integer_dtypes_only(monkeypatch):
     top[0, 0] = 2 ** 64 - 1
     assert smith_normal_form(top) == smith_normal_form(IntMatrix(top))
     assert offered[2:] == [("object", top.tolist())] * 2
+
+
+def test_lists_and_runs_take_integers_only():
+    # a float is refused, not truncated, whether whole or not
+    for data in (_diag([2.5] * 20), [[1.5, 2], [3, 4]], [[2.0]], [[1, "2"]],
+                 [[None]]):
+        with pytest.raises(ExactError, match="integers"):
+            IntMatrix(data)
+    with pytest.raises(ExactError, match="integers"):
+        IntMatrix.diagonal([2.5, 3])
+    for runs, free_rank in ((((2.0, 1),), 0), (((2, 1.0),), 0), ((), 1.0),
+                            ((("2", 1),), 0)):
+        with pytest.raises(ExactError, match="integers"):
+            AbelianGroup(runs, free_rank)
+    # bools and numpy integers become Python ints
+    m = IntMatrix([[True, np.int32(-4)], [np.uint64(2 ** 64 - 1), 2 ** 70]])
+    assert m.data == [[1, -4], [2 ** 64 - 1, 2 ** 70]]
+    assert all(type(v) is int for row in m.data for v in row)
+    assert smith_normal_form(m) == smith_normal_form(np.array(m.data,
+                                                              dtype=object))
+    g = AbelianGroup([(np.int64(2), np.int8(3))], np.uint16(1))
+    assert g == AbelianGroup(((2, 3),), 1) and str(g) == "(Z/2)^3 + Z"
+    assert all(type(v) is int for v in (*g.runs[0], g.free_rank))
 
 
 def test_arrays_take_the_transform_and_product_paths():
@@ -1005,12 +1052,12 @@ def test_coprime_base_and_group_from_diagonal_match_trial_division(entries):
             while v and v % b == 0:
                 v //= b
         assert v in (0, 1)
-    # per prime (valence._factor: trial division, exact below 2**32), its
-    # exponents largest first, zipped into the factors
+    # per prime (trial division below 2**16 factors any value below
+    # 2**32), its exponents largest first, zipped into the factors
     exponents, free = {}, 0
     for v, m in entries:
         free += m if v == 0 else 0
-        for p, e in _factor(abs(v)).items() if v else ():
+        for p, e in _trial_division(abs(v), 2 ** 16).items() if v else ():
             exponents.setdefault(p, []).extend([e] * m)
     factors = [1] * max(map(len, exponents.values()), default=0)
     for p, es in exponents.items():

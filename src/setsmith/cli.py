@@ -232,6 +232,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact integers of any size are read and printed: lift the limit on
+    # int/str conversion (4300 digits by default) where the interpreter has it
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     # a known command builds its parser alone; anything else (--help, no
     # command, an unknown one) builds them all, so the usage lists them all
     first = next(iter(sys.argv[1:] if argv is None else argv), None)

@@ -107,17 +107,21 @@ class IntMatrix:
         self.col_labels = col_labels
 
     @classmethod
-    def _keep(cls, data: list[list[int]], cols: int) -> "IntMatrix":
-        """An unlabelled IntMatrix that keeps data, lists of cols ints each
-        that the caller has just built and hands over, unchecked."""
+    def _keep(cls, data: list[list[int]], cols: int, row_labels=None,
+              col_labels=None) -> "IntMatrix":
+        """An IntMatrix that keeps data, lists of cols Python ints each that
+        the caller has just built and hands over, and the labels, tuples or
+        None of matching lengths, unchecked."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.data = len(data), cols, data
-        m.row_labels = m.col_labels = None
+        m.row_labels, m.col_labels = row_labels, col_labels
         return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        if min(rows, cols) < 0:
+            raise ExactError("rows and cols must be nonnegative")
+        return cls._keep([[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -146,11 +150,10 @@ class IntMatrix:
                    default=0)
 
     def transpose(self) -> "IntMatrix":
-        out = IntMatrix(zip(*self.data) if self.rows else [[]] * self.cols,
-                        cols=self.rows)
-        out.row_labels = self.col_labels
-        out.col_labels = self.row_labels
-        return out
+        data = ([list(col) for col in zip(*self.data)] if self.rows
+                else [[] for _ in range(self.cols)])
+        return IntMatrix._keep(data, self.rows, self.col_labels,
+                               self.row_labels)
 
     def submatrix(self, row_idx, col_idx) -> "IntMatrix":
         row_idx = list(row_idx)
@@ -160,7 +163,7 @@ class IntMatrix:
               if self.row_labels is not None else None)
         cl = (tuple(self.col_labels[j] for j in col_idx)
               if self.col_labels is not None else None)
-        return IntMatrix(data, row_labels=rl, col_labels=cl, cols=len(col_idx))
+        return IntMatrix._keep(data, len(col_idx), rl, cl)
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix([[c * v for v in row] for row in self.data],
@@ -283,7 +286,7 @@ def stack(parts) -> IntMatrix:
     col_labels = parts[0].col_labels
     if any(p.col_labels != col_labels for p in parts):
         col_labels = None
-    return IntMatrix(data, row_labels=labels, col_labels=col_labels, cols=cols)
+    return IntMatrix._keep(data, cols, labels, col_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +467,8 @@ def smith_normal_form(m: IntMatrix | np.ndarray,
     a += [[int(i == j) for j in range(cols)] for i in range(cols)]
     diag = _eliminate(a, rows, cols)
     return SmithForm(tuple(diag), len(diag),
-                     left=IntMatrix([row[cols:] for row in a[:rows]], cols=rows),
-                     right=IntMatrix(a[rows:], cols=cols))
+                     left=IntMatrix._keep([row[cols:] for row in a[:rows]], rows),
+                     right=IntMatrix._keep(a[rows:], cols))
 
 
 # ---------------------------------------------------------------------------

@@ -241,20 +241,6 @@ def _divides_block(d: int, w: np.ndarray, t: int,
     return True
 
 
-def _common_factor(w: np.ndarray, t: int, factors: dict[int, int],
-                   witness: dict[int, tuple[int, int]]) -> int:
-    """A common divisor c of the entries of the trailing block w[t:, t:],
-    from the pairwise coprime b**e of factors: b**e for each b that divides
-    them all if b**e does, else b, and 1 for the others.  c is not always
-    their largest common factor.  witness is _divides_block's."""
-    c = 1
-    for b, e in factors.items():
-        if _divides_block(b, w, t, witness):
-            c *= (b ** e if e > 1 and _divides_block(b ** e, w, t, witness)
-                  else b)
-    return c
-
-
 def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
     """gcd(x, mod) for the diagonal entries x of a diagonal form of the
     integer array a over Z/mod, mod > 0, one per row or column, whichever
@@ -264,26 +250,25 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
     A unit at (t, t) is the pivot.  Otherwise a unit in column t, then in
     row t, is swapped there by copying, with gcds with mod read from a
     table when mod < 2**15 (_gcd_table).  With no unit in either, and mod
-    below 2**31, let h be the gcd of the least gcd in column t and the
-    least in row t.  Every common factor of the trailing block divides h,
-    so only h's primes below 2**8, and the cofactor they leave, are tried
-    on it (_common_factor).  A common factor c divides the block and mod,
-    and every later gcd is taken times c: the block over Z/mod is c times a
-    block over Z/(mod / c).  If mod is left 1, the block was zero and every
-    entry left is the original mod.  On Python ints no division is tried:
-    there the tries cost about what the divisions save.  Without a common
-    factor, the entry of least gcd in column t, or in row t if that holds a
-    smaller one, is the pivot.  Where it does not divide an entry of either
-    (mod has two or more prime factors), one 2x2 Bezout step of rows or
-    columns replaces it by their gcd, whose gcd with mod is a proper
-    divisor of the pivot's.  Once it divides them all, one update of the
-    trailing block clears its column, and column operations its row, which
-    touch nothing else.  The pivot row and column are reduced, so no
-    product formed reaches 2 mod**2 and each update subtracts at most
-    (mod - 1)**2 from an entry: the trailing block is reduced into
-    [0, mod) after (2**31 - mod) // (mod - 1)**2 updates in int32, and
-    after (2**63 - mod) // (mod - 1)**2 otherwise, and whenever mod is
-    divided.
+    below 2**31, let h be the gcd of every gcd in column t and row t, so of
+    those entries and mod.  Every common factor of the trailing block with
+    mod divides h, so h is their largest when it divides the block, and
+    only h is tried (_divides_block).  If it divides, every later gcd is
+    taken times h: the block over Z/mod is h times a block over Z/(mod /
+    h).  If mod is left 1, the block was zero and every entry left is the
+    original mod.  On Python ints no division is tried: there the tries
+    cost about what the divisions save.  Otherwise the entry of least gcd
+    in column t, or in row t if that holds a smaller one, is the pivot.
+    Where it does not divide an entry of either (mod has two or more prime
+    factors), one 2x2 Bezout step of rows or columns replaces it by their
+    gcd, whose gcd with mod is a proper divisor of the pivot's.  Once it
+    divides them all, one update of the trailing block clears its column,
+    and column operations its row, which touch nothing else.  The pivot
+    row and column are reduced, so no product formed reaches 2 mod**2 and
+    each update subtracts at most (mod - 1)**2 from an entry: the trailing
+    block is reduced into [0, mod) after (2**31 - mod) // (mod - 1)**2
+    updates in int32, and after (2**63 - mod) // (mod - 1)**2 otherwise,
+    and whenever mod is divided.
     """
     if mod < _LOCAL_MODULUS:
         wide = 2 * mod * mod >= _LOCAL_MODULUS
@@ -297,7 +282,6 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
     def gcds(x):
         return np.gcd(x, mod) if table is None else table[x]
 
-    factors: dict[int, dict[int, int]] = {}  # of each h, from _trial_division
     witness: dict[int, tuple[int, int]] = {}
     size, scale, spent = min(w.shape), 1, 0
     out = []
@@ -323,13 +307,9 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
                 _swap(w[t:, t], w[t:, t + j])
                 w[t + 1:, t] %= mod
                 break
-            c = 1
-            if w.dtype != object:
-                h = gcd(int(in_col[i]), int(in_row[j]))
-                if h not in factors:
-                    factors[h] = _trial_division(h, 1 << 8)
-                c = _common_factor(w, t, factors[h], witness)
-            if c == 1:
+            h = 1 if w.dtype == object else gcd(int(np.gcd.reduce(in_col)),
+                                                int(np.gcd.reduce(in_row)))
+            if h == 1 or not _divides_block(h, w, t, witness):
                 if in_row[j] < in_col[i]:
                     _swap(w[t:, t], w[t:, t + j])
                     w[t:, t] %= mod
@@ -339,9 +319,9 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
                 break
             block = w[t:, t:]
             block %= mod
-            block //= c
-            mod //= c
-            scale *= c
+            block //= h
+            mod //= h
+            scale *= h
             if mod == 1:
                 return out + [scale] * (size - t)
             headroom, spent = (top - mod) // max(mod - 1, 1) ** 2, 0

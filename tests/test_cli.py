@@ -15,6 +15,16 @@ from setsmith.oracle import brute_force_group
 from setsmith.scheme import SchemeParams
 
 
+@pytest.fixture(autouse=True)
+def _int_str_digits():
+    """main() lifts the interpreter's limit on int/str conversion for the
+    process; each test starts from the default again."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -190,6 +200,49 @@ def test_verify_command(capsys):
     assert code == 0
     assert out == ("kneser_k2_laplacian n=5: ok (oracle skipped) group "
                    "Z/2 + (Z/10)^3 + Z\n")
+
+
+def test_verify_command_fails_on_a_mismatch(capsys, monkeypatch):
+    from setsmith import oracle
+    # a table that drops its last entry disagrees with both other arms
+    cf = oracle.THEOREMS["kneser_k2_laplacian"]
+    monkeypatch.setitem(oracle.THEOREMS, "kneser_k2_laplacian",
+                        cf._replace(table=lambda n: cf.table(n)[:-1]))
+    code, out, err = run(capsys, "verify", "--theorem", "kneser_k2_laplacian",
+                         "--n-from", "6", "--n-to", "7")
+    assert code == 1
+    assert out.splitlines()[0].startswith("kneser_k2_laplacian n=6: MISMATCH")
+    assert err == "closed-form verification failed\n"
+
+
+def _digits(count):
+    """An integer of count decimal digits, past the default 4300 of
+    int/str conversion when count is larger."""
+    return 10 ** (count - 1) + 7
+
+
+def test_integers_past_the_int_str_digit_limit(tmp_path, capsys):
+    n = str(_digits(4001))
+    code, out, _ = run(capsys, "smith-group", "--n", n, "--k", "2",
+                       "--ell", "0")
+    assert code == 0 and f"n={n} k=2" in out
+    # --json refuses it on the count of invariant factors, not on a digit
+    code, out, err = run(capsys, "smith-group", "--n", n, "--k", "2",
+                         "--ell", "0", "--json")
+    assert code == 1 and "invariant factors" in err
+    big = _digits(4400)
+    code, out, _ = run(capsys, "smith-group", "--n", "10", "--k", "2",
+                       f"--coeffs={big},1,0", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["coeffs"] == [big, 1, 0]
+    assert AbelianGroup.from_json_dict(payload["group"]).to_json_dict() \
+        == payload["group"]
+    path = tmp_path / "big.txt"
+    path.write_text(f"2 2\n{big} 0\n0 3\n")
+    code, out, _ = run(capsys, "snf", "--in", str(path))
+    assert code == 0
+    assert out == f"2x2 matrix: rank 2, invariant factors 1,{3 * big}\n"
 
 
 def test_conjecture_command_with_log(tmp_path, capsys):
@@ -428,6 +481,11 @@ def test_argument_errors_exit_2(capsys):
                  ["oracle", "--n", "8", "--k", "2", "--ell", "1", "--cap", "0"],
                  ["verify", "--theorem", "johnson_k2_laplacian", "--n-from",
                   "5", "--n-to", "5", "--cap", "-1"],
+                 # below the theorem's min_n 5, and an empty sweep
+                 ["verify", "--theorem", "kneser_k2_laplacian", "--n-from",
+                  "4", "--n-to", "6"],
+                 ["verify", "--theorem", "kneser_k2_laplacian", "--n-from",
+                  "7", "--n-to", "6"],
                  ["bench", "--n", "8", "--k", "2", "--ell", "1", "--cap", "0"]):
         with pytest.raises(SystemExit) as err:
             main(argv)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from setsmith.exact import (_BEZOUT_BELOW, _INT64_CEILING, _LIST_LANE_BELOW,
-                            AbelianGroup,
+                            AbelianGroup, _as_array,
                             ExactError, IntMatrix, SmithForm, _coprime_base,
                             _eliminate,
                             group_from_diagonal, group_from_smith,
@@ -58,6 +58,9 @@ def test_snf_empty_and_zero():
         assert index(m) == 1
     assert group_from_smith(smith_normal_form(IntMatrix.zeros(2, 5)), 5) \
         == AbelianGroup((), 5)
+    for shape in ((2, -1), (-1, 2)):
+        with pytest.raises(ExactError, match="nonnegative"):
+            IntMatrix.zeros(*shape)
 
 
 def test_snf_divisibility_chain_random():
@@ -352,11 +355,20 @@ def _nilpotent_corner(size):
     return data
 
 
+# the first prime of a Krylov sequence on 20 x 20 matrices
+_FIRST_PRIME = _primes(20, 1)[0]
+
 # each fallback: a matrix the valence lane refuses, so the list lane
-# reduces all of it
+# reduces all of it.  Entries near 2**800 give a coefficient bound past
+# the product of 64 primes; eigenvalues 2 and 2 + _FIRST_PRIME meet modulo
+# the first prime only, so the second gives a Krylov polynomial of
+# another degree
 _REFUSED = {
     "x^2 divides mu": _with_unit_pair(_nilpotent_corner(18)),
     "degree over the cap": _with_unit_pair(_diag(range(2, 20))),
+    "more than 64 primes": _with_unit_pair(
+        _diag([2 ** 800 + i % 2 for i in range(18)])),
+    "Krylov degrees differ": _with_unit_pair(_diag([2, 2 + _FIRST_PRIME] * 9)),
 }
 
 # matrices past int64 arithmetic, which the valence lane answers: a Gram
@@ -376,11 +388,28 @@ _PAST_INT64 = {
 def test_valence_finish_refusals_fall_back_to_the_list_lane(case):
     m = _REFUSED[case]
     assert min(m.rows, m.cols) >= _LIST_LANE_BELOW
-    assert valence_finish(_array(m)) is None
-    assert valence_finish(_array(m).T) is None
+    assert valence_finish(_as_array(m)) is None
+    assert valence_finish(_as_array(m).T) is None
     f = smith_normal_form(m).invariant_factors
     full = _eliminate([list(row) for row in m.data], m.rows, m.cols)
     assert f == _chain(full)
+
+
+def test_valence_finish_refuses_a_krylov_lift_it_cannot_make(monkeypatch):
+    # the degrees of the Krylov polynomials found before each refusal: one,
+    # when no 64 primes reach the coefficient bound, and two that differ
+    degrees, krylov = [], valence._krylov_polynomial
+
+    def spy(aq, q):
+        coeffs = krylov(aq, q)
+        degrees.append(len(coeffs) - 1)
+        return coeffs
+    monkeypatch.setattr(valence, "_krylov_polynomial", spy)
+    for case, want in (("more than 64 primes", [4]),
+                       ("Krylov degrees differ", [3, 4])):
+        degrees.clear()
+        assert valence_finish(_as_array(_REFUSED[case])) is None
+        assert degrees == want
 
 
 @pytest.mark.parametrize("case", sorted(_PAST_INT64))
@@ -507,6 +536,14 @@ def test_valence_finish_packs_the_wide_parts_into_one_modulus(monkeypatch):
     assert any(mod < 2 ** 31 for mod in seen)
     assert group_from_smith(SmithForm(f, len(f)), a.shape[1]) \
         == smith_group(p, coeffs, lam).group
+
+
+def test_integer_roots_give_up_past_float64():
+    # the root 2**1100 is an integer, but np.roots cannot hold the
+    # coefficient; the valence is then split by trial division alone
+    coeffs = [-(2 ** 1100), 1]
+    assert _integer_roots(coeffs) is None
+    assert _valence_parts(coeffs, 2 ** 1100) == [2 ** 1100]
 
 
 def test_integer_roots_recovers_clustered_roots():
@@ -681,19 +718,22 @@ def test_diagonal_mod_gives_the_gcds_of_the_invariant_factors(rows, cols, mod,
 
 def test_kneser_laplacian_divides_out_a_common_factor(monkeypatch):
     # the Kneser Laplacian (21, 2): 210 columns, one elimination modulo
-    # 353430 = 2 * 3**3 * 5 * 7 * 11 * 17 on int64, where no gcd table
-    # applies; its trailing blocks share primes of the modulus
-    found, common_factor = [], valence._common_factor
+    # 353430 = 2 * 3**3 * 5 * 7 * 11 * 17 on int64; its trailing blocks
+    # share primes of the modulus.  _diagonal_mod reads the gcd table of
+    # its modulus once at the start and once after each division that
+    # leaves it above 1
+    moduli, gcd_table = [], valence._gcd_table
 
-    def spy(*args):
-        found.append(common_factor(*args))
-        return found[-1]
-    monkeypatch.setattr(valence, "_common_factor", spy)
+    def spy(mod):
+        moduli.append(mod)
+        return gcd_table(mod)
+    monkeypatch.setattr(valence, "_gcd_table", spy)
     p = SchemeParams(21, 2, 2, 0)
     lam = degree(21, 2, 0)
     a = _scheme_array(p, None, lam)
     f = _chain(valence_finish(a))
-    assert any(c > 1 for c in found)
+    assert moduli[0] == 353430 and len(moduli) > 1
+    assert all(m % n == 0 and m > n for m, n in zip(moduli, moduli[1:]))
     assert group_from_smith(SmithForm(f, len(f)), a.shape[1]) \
         == smith_group(p, None, lam).group
 
@@ -990,12 +1030,35 @@ def test_stack():
         stack([a, IntMatrix([[1, 2, 3]])])
 
 
+def test_builders_carry_labels_and_copy_rows():
+    # transpose, submatrix and stack hand their rows over unchecked: each
+    # row is a new list, so a change to it leaves the source as it was
+    m = IntMatrix([[1, 2, 3], [4, 5, 6]], row_labels="ab", col_labels="xyz")
+    t = m.transpose()
+    assert t.data == [[1, 4], [2, 5], [3, 6]]
+    assert (t.row_labels, t.col_labels) == (tuple("xyz"), tuple("ab"))
+    s = m.submatrix([1], [2, 0])
+    assert s.data == [[6, 4]]
+    assert (s.row_labels, s.col_labels) == (("b",), ("z", "x"))
+    both = stack([m, m.submatrix([0], range(3))])
+    assert both.row_labels == tuple("aba") and both.col_labels == tuple("xyz")
+    for out in (t, s, both):
+        out.data[0][0] = 9
+    assert m.data == [[1, 2, 3], [4, 5, 6]]
+    empty = IntMatrix.zeros(0, 3).transpose()
+    assert empty.shape() == (3, 0) and empty.data == [[], [], []]
+    empty.data[0].append(1)
+    assert empty.data[1:] == [[], []]
+
+
 def test_group_from_diagonal_examples():
     assert group_from_diagonal([(2, 1), (3, 1)]) == AbelianGroup(((6, 1),))
     assert group_from_diagonal([(2, 1), (3, 1), (0, 2)]) \
         == AbelianGroup(((6, 1),), 2)
     assert group_from_diagonal([(1, 100)]) == AbelianGroup()
     assert group_from_diagonal([(-6, 2)]) == AbelianGroup(((6, 2),))
+    with pytest.raises(ExactError, match="nonnegative"):
+        group_from_diagonal([(2, 1), (3, -1)])
 
 
 def test_group_from_diagonal_matches_snf_route():

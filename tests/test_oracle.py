@@ -13,8 +13,8 @@ from setsmith.oracle import (SizeCapExceeded, THEOREMS, bench,
                              brute_force_group, closed_form_entries,
                              closed_form_group, scheme_element_matrix,
                              verify_closed_form)
-from setsmith.scheme import (ParameterError, SchemeParams, eigenvalues,
-                             smith_group)
+from setsmith.scheme import (ParameterError, SchemeParams, degree,
+                             eigenvalues, smith_group)
 
 
 def test_brute_force_matches_published_example():
@@ -149,6 +149,16 @@ def test_oracle_matches_the_blocks_up_to_2_64(monkeypatch):
             == smith_group(p, coeffs, lam).group
 
     check()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ell", [4, 0], ids=["johnson", "kneser"])
+def test_oracle_matches_the_blocks_at_2002_columns(ell):
+    # the Johnson and Kneser Laplacians (14, 5): one dense reduction each
+    # of 2002 columns, 14-22 s on a 2-core VM
+    p = SchemeParams(14, 5, 5, ell)
+    lam = degree(14, 5, ell)
+    assert brute_force_group(p, None, lam) == smith_group(p, None, lam).group
 
 
 def test_bench_reports():

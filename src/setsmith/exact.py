@@ -68,6 +68,27 @@ class ConstructionError(RuntimeError):
     """A construction whose success is guaranteed by theory failed."""
 
 
+def _digits(v: int) -> str:
+    """str(v), also past Python's int/str digit limit, through decimal."""
+    try:
+        return str(v)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(v))
+
+
+def _read_int(token: str) -> int:
+    """int(token), also for ASCII digits past that limit, through decimal."""
+    try:
+        return int(token)
+    except ValueError:
+        digits = token[1:] if token[:1] in "+-" else token
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        from decimal import Decimal
+        return int(Decimal(token))
+
+
 class IntMatrix:
     """Dense integer matrix with optional subsets labelling rows/columns.
     data is a sequence of rows, or a 2-D integer array (converted once)."""
@@ -131,10 +152,8 @@ class IntMatrix:
     def diagonal(cls, entries, rows: int | None = None,
                  cols: int | None = None) -> "IntMatrix":
         entries = list(entries)
-        if rows is None:
-            rows = len(entries)
-        if cols is None:
-            cols = len(entries)
+        rows = len(entries) if rows is None else rows
+        cols = len(entries) if cols is None else cols
         if len(entries) > min(rows, cols):
             raise ExactError("too many diagonal entries for the given shape")
         data = [[0] * cols for _ in range(rows)]
@@ -184,20 +203,21 @@ class IntMatrix:
         """Fixed-width rendering, one matrix row per line."""
         if self.rows == 0 or self.cols == 0:
             return f"(empty {self.rows}x{self.cols})"
-        width = max(len(str(v)) for row in self.data for v in row)
-        return "\n".join(" ".join(f"{v:>{width}}" for v in row)
-                         for row in self.data)
+        text = [[_digits(v) for v in row] for row in self.data]
+        width = max(len(v) for row in text for v in row)
+        return "\n".join(" ".join(v.rjust(width) for v in row)
+                         for row in text)
 
     def to_text(self) -> str:
         """Plain-text exchange format: 'rows cols' then one line per row."""
         lines = [f"{self.rows} {self.cols}"]
-        lines.extend(" ".join(str(v) for v in row) for row in self.data)
+        lines.extend(" ".join(map(_digits, row)) for row in self.data)
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "IntMatrix":
         try:
-            lines = [[int(tok) for tok in line.split()]
+            lines = [[_read_int(tok) for tok in line.split()]
                      for line in text.splitlines()]
         except ValueError as exc:
             raise ExactError(f"matrix file holds a non-integer token ({exc})") from None
@@ -208,16 +228,11 @@ class IntMatrix:
         rows, cols = lines[0]
         if rows < 0 or cols < 0:
             raise ExactError("'rows cols' must be nonnegative")
-        data = []
-        for line in lines[1:]:
-            if not line and len(data) >= rows:
-                continue
-            data.append(line)
-        if len(data) != rows or any(len(r) != cols for r in data):
+        data, rest = lines[1:rows + 1], lines[rows + 1:]
+        if (len(data) != rows or any(rest)
+                or any(len(r) != cols for r in data)):
             raise ExactError("matrix body does not match declared shape")
-        if rows == 0:
-            return cls.zeros(0, cols)
-        return cls(data)
+        return cls(data, cols=cols)
 
 
 def _as_array(m: IntMatrix | np.ndarray) -> np.ndarray:
@@ -277,12 +292,9 @@ def stack(parts) -> IntMatrix:
     cols = parts[0].cols
     if any(p.cols != cols for p in parts):
         raise ExactError("stacked parts must share the column count")
-    data = []
-    for p in parts:
-        data.extend(list(row) for row in p.data)
-    labels = None
-    if all(p.row_labels is not None for p in parts):
-        labels = tuple(lbl for p in parts for lbl in p.row_labels)
+    data = [list(row) for p in parts for row in p.data]
+    labels = (tuple(lbl for p in parts for lbl in p.row_labels)
+              if all(p.row_labels is not None for p in parts) else None)
     col_labels = parts[0].col_labels
     if any(p.col_labels != col_labels for p in parts):
         col_labels = None
@@ -535,9 +547,11 @@ class AbelianGroup(_AbelianGroupFields):
         return prod(d ** m for d, m in self.runs)
 
     def __str__(self) -> str:
-        terms = [f"Z/{d}" if m == 1 else f"(Z/{d})^{m}" for d, m in self.runs]
+        terms = [f"Z/{_digits(d)}" if m == 1
+                 else f"(Z/{_digits(d)})^{_digits(m)}" for d, m in self.runs]
         if self.free_rank:
-            terms.append("Z" if self.free_rank == 1 else f"Z^{self.free_rank}")
+            terms.append("Z" if self.free_rank == 1
+                         else f"Z^{_digits(self.free_rank)}")
         return " + ".join(terms) if terms else "0"
 
     def to_json_dict(self) -> dict:

@@ -176,14 +176,13 @@ def _pascal(m: int) -> list[list[int]]:
     return pascal
 
 
-def _combined_f(p: SchemeParams, coeffs, pascal=None) -> list[list[int]]:
+def _combined_f(p: SchemeParams, coeffs, pascal) -> list[list[int]]:
     """table[i][j] = sum_l b_l f_i(j), f taken at ell = l, for i <= kr and
     j <= kc: the coefficient of W_{i,j} in the conjugated triangular form of
     the combination.  Zero below the diagonal, where W_{i,j} vanishes.
     f_coeff's alternating sum runs once, on g[v][j] = sum_l b_l c_v(j), from
     tables of C(kr-v, kr-l) and b_l C(n-kr-d, kc-l-d), d = j - v (c_coeff)."""
     n, kr, kc, _ = p
-    pascal = pascal or _pascal(kc)
     terms = [ell for ell, b in enumerate(coeffs) if b]
     low = [[pascal[kr - ell][kr - v] for ell in terms] for v in range(kr + 1)]
     high = [[coeffs[ell] * binomial(n - kr - d, kc - ell - d) for ell in terms]

@@ -105,6 +105,14 @@ def check_simpler_lemma(n: int, i: int, j: int) -> bool:
     return pii @ w_matrix(n, i, j) == d_matrix(n, i, j) @ pjj
 
 
+def _boundary_split(labels) -> tuple[list[int], list[int]]:
+    """The positions of the boundary subsets among labels, and the rest."""
+    boundary, interior = [], []
+    for t, s in enumerate(labels):
+        (boundary if is_boundary(s) else interior).append(t)
+    return boundary, interior
+
+
 class BoundarySplit(NamedTuple):
     """p_tilde(n, i, j) permuted into boundary-first order, plus the two
     structural checks that make the inductive decomposition work."""
@@ -128,12 +136,8 @@ def boundary_interior_split(n: int, i: int, j: int) -> BoundarySplit:
     interior block should literally equal p_tilde(n-1, i, j).
     """
     m = p_tilde(n, i, j)
-    rows = list(m.row_labels)
-    cols = list(m.col_labels)
-    brows = [t for t, s in enumerate(rows) if s and is_boundary(s)]
-    irows = [t for t, s in enumerate(rows) if not (s and is_boundary(s))]
-    bcols = [t for t, s in enumerate(cols) if s and is_boundary(s)]
-    icols = [t for t, s in enumerate(cols) if not (s and is_boundary(s))]
+    brows, irows = _boundary_split(m.row_labels)
+    bcols, icols = _boundary_split(m.col_labels)
     bb = m.submatrix(brows, bcols)
     bi = m.submatrix(brows, icols)
     ib = m.submatrix(irows, bcols)
@@ -154,28 +158,18 @@ def phi_boundary_column_match(n: int, i: int, j: int) -> bool:
     if i < 1 or j < 1:
         raise ParameterError("need i, j >= 1")
     m = p_tilde(n, i, j)
-    rows = list(m.row_labels)
-    cols = list(m.col_labels)
-    brows = [t for t, s in enumerate(rows) if s and is_boundary(s)]
-    bcols = [t for t, s in enumerate(cols) if is_boundary(s)]
+    rows, cols = m.row_labels, m.col_labels
+    brows, bcols = _boundary_split(rows)[0], _boundary_split(cols)[0]
     target = p_tilde(n - 1, i - 1, j - 1)
     trow_pos = {s: t for t, s in enumerate(target.row_labels)}
     tcol_pos = {s: t for t, s in enumerate(target.col_labels)}
-    row_map = []
-    for t in brows:
-        img = phi(rows[t])
-        if img not in trow_pos:
-            return False
-        row_map.append(trow_pos[img])
+    row_map = [trow_pos.get(phi(rows[t])) for t in brows]
+    if None in row_map:
+        return False
     for c in bcols:
-        beta = cols[c]
-        if 2 not in beta:
-            continue
-        img = phi(beta)
-        if img not in tcol_pos:
-            return False
-        tc = tcol_pos[img]
-        for t, tr in zip(brows, row_map):
-            if m.data[t][c] != target.data[tr][tc]:
+        if 2 in cols[c]:
+            tc = tcol_pos.get(phi(cols[c]))
+            if tc is None or any(m.data[t][c] != target.data[tr][tc]
+                                 for t, tr in zip(brows, row_map)):
                 return False
     return True

@@ -23,8 +23,7 @@ more than 64 primes; the caller then runs the list lane.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import count
+from itertools import chain, count
 from math import gcd, isqrt
 
 import numpy as np
@@ -46,23 +45,14 @@ _FLOAT_EXACT = 1 << 53
 _TABLE_BELOW = 1 << 15
 
 
-def _trial_divisors():
-    """2, 3 and every 6k +- 1 below 2**16: every prime below 2**16, and
-    composites, which never divide once the primes below them are out."""
-    yield 2
-    yield 3
-    for k in range(6, 1 << 16, 6):
-        yield k - 1
-        yield k + 1
-
-
-def _trial_division(v: int, below: int) -> dict[int, int]:
+def _trial_division(v: int) -> dict[int, int]:
     """v >= 1 as pairwise coprime factors, each with its exponent: the
-    primes below `below`, by trial division, and the cofactor left, with
-    exponent 1, which is prime if it is below below**2."""
+    primes below 2**16, by trial division by 2 and the odd numbers (a
+    composite never divides once the primes below it are out), and the
+    cofactor left, with exponent 1, which is prime if it is below 2**32."""
     out = {}
-    for p in _trial_divisors():
-        if p >= below or p * p > v:
+    for p in chain((2,), range(3, 1 << 16, 2)):
+        if p * p > v:
             break
         if v % p == 0:
             e = 0
@@ -122,7 +112,7 @@ def _primes(n: int, above: int) -> list[int] | None:
             start = found[-1] - 2 if found else isqrt(_FLOAT_EXACT // n) | 1
             found += (next(q for q in range(start, 2, -2)
                            if n * (q - 1) ** 2 + q < _FLOAT_EXACT
-                           and _trial_division(q, 1 << 16) == {q: 1}),)
+                           and _trial_division(q) == {q: 1}),)
             _PRIMES_FOUND[n] = found
         product *= found[i]
         if product > above:
@@ -199,11 +189,11 @@ def _annihilates(a: np.ndarray, coeffs: list[int], bound: int) -> bool:
 def _gcd_table(mod: int) -> np.ndarray | None:
     """gcd(x, mod) for x = 0..mod-1, as int32, when mod < _TABLE_BELOW; else
     None.  Each power p**j of a prime that divides mod puts a factor p on
-    its multiples (the cofactor left by the primes below 2**8 is prime)."""
+    its multiples (_trial_division factors any mod below 2**32 into primes)."""
     if mod >= _TABLE_BELOW:
         return None
     table = np.ones(mod, dtype=np.int32)
-    for p, e in _trial_division(mod, 1 << 8).items():
+    for p, e in _trial_division(mod).items():
         for j in range(1, e + 1):
             table[::p ** j] *= p
     return table
@@ -361,7 +351,7 @@ def _valence_parts(coeffs: list[int], v: int) -> list[int]:
     not be prime from 2**32 on: _diagonal_mod takes any modulus."""
     roots = _integer_roots(coeffs)
     if roots is None:
-        return [p ** e for p, e in _trial_division(v, 1 << 16).items()]
+        return [p ** e for p, e in _trial_division(v).items()]
     parts = []
     for b in _coprime_base(abs(r) for r in roots if r):
         part = 1
@@ -399,8 +389,9 @@ def valence_finish(a: np.ndarray) -> list[int] | None:
     of _rank_prime(v), which does not divide v: gcd(d_i, q) is q exactly
     when d_i = 0.  M is split into coprime moduli: the parts of 2**31 or
     more into one, the others largest first into moduli below 2**31.  The
-    diagonal of a modulo each, put in chain order by group_from_diagonal,
-    gives gcd(d_i, M).
+    diagonals of a modulo all of them, coprime, give the chain of the
+    gcd(d_i, M) in one group_from_diagonal call; with s = 1 its top run,
+    the only one q divides, is the zero factors.
     """
     if a.shape[0] > a.shape[1]:
         a = a.T
@@ -443,12 +434,9 @@ def valence_finish(a: np.ndarray) -> list[int] | None:
                 break
         else:
             moduli.append(part)
-    values, zeros = [1] * n, 0
-    for mod in moduli:
-        runs = group_from_diagonal(Counter(_diagonal_mod(a, mod)).items()).runs
-        diag = [1] * (n - sum(m for _, m in runs)) + [d for d, m in runs
-                                                      for _ in range(m)]
-        if rank_prime and mod % rank_prime == 0:
-            zeros = diag.count(mod)
-        values = [x * y for x, y in zip(values, diag)]
-    return values[:n - zeros]
+    runs = list(group_from_diagonal((d, 1) for mod in moduli
+                                    for d in _diagonal_mod(a, mod)).runs)
+    if rank_prime and runs and runs[-1][0] % rank_prime == 0:
+        n -= runs.pop()[1]  # the zero factors: gcd(0, M) = M
+    return [1] * (n - sum(m for _, m in runs)) + [d for d, m in runs
+                                                  for _ in range(m)]

@@ -12,7 +12,7 @@ from setsmith.cli import build_parser, main
 from setsmith.exact import (AbelianGroup, IntMatrix, group_from_diagonal,
                             smith_normal_form)
 from setsmith.oracle import brute_force_group
-from setsmith.scheme import SchemeParams
+from setsmith.scheme import SchemeParams, smith_group
 
 
 @pytest.fixture(autouse=True)
@@ -243,6 +243,23 @@ def test_integers_past_the_int_str_digit_limit(tmp_path, capsys):
     code, out, _ = run(capsys, "snf", "--in", str(path))
     assert code == 0
     assert out == f"2x2 matrix: rank 2, invariant factors 1,{3 * big}\n"
+
+
+def test_library_integers_past_the_int_str_digit_limit(capsys):
+    # the library prints and reads them without lifting the limit, which
+    # only main() does
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    n = "1" + "0" * 4000
+    text = str(smith_group(SchemeParams(10 ** 4000, 2, 2, 0)).group)
+    big, digits = _digits(5000), "1" + "0" * 4998 + "7"
+    m = IntMatrix([[big, -big], [0, 3]])
+    assert m.to_text() == f"2 2\n{digits} -{digits}\n0 3\n"
+    assert IntMatrix.from_text(m.to_text()) == m
+    assert m.pretty().split() == [digits, "-" + digits, "0", "3"]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    code, out, _ = run(capsys, "smith-group", "--n", n, "--k", "2",
+                       "--ell", "0")
+    assert code == 0 and f"smith group: {text}\n" in out
 
 
 def test_conjecture_command_with_log(tmp_path, capsys):

@@ -507,7 +507,7 @@ def test_valence_finish_splits_an_unfactored_valence_over_integer_roots():
     roots = _integer_roots(mu)
     assert roots is not None and 0 not in roots
     v = abs(prod(roots))
-    assert max(_trial_division(v, 2 ** 16)) >= 2 ** 32
+    assert max(_trial_division(v)) >= 2 ** 32
     assert sorted(_valence_parts(mu, v)) == sorted(
         [2 ** 6, 3 ** 4, 119 ** 2, 179, 715, 84811, 85999])
     f = _chain(valence_finish(a))
@@ -536,6 +536,41 @@ def test_valence_finish_packs_the_wide_parts_into_one_modulus(monkeypatch):
     assert any(mod < 2 ** 31 for mod in seen)
     assert group_from_smith(SmithForm(f, len(f)), a.shape[1]) \
         == smith_group(p, coeffs, lam).group
+
+
+# A(8, 3, 3, ell) combinations sum_l b_l A_l - lam I, 56 x 56, whose
+# valence packs into two moduli: the seven of the dense oracle's benchmark
+# pass at n = 8, k = 3 (all nonsingular), one square one shifted to an
+# eigenvalue, and one 28 x 56 A(8, 2, 3, ell) combination of rank 21.  In
+# the singular ones the rank prime 5 is a modulus of its own, and 7 shares
+# the modulus 3584 with 2**9.
+_TWO_MODULI = [  # (n, kr, kc), b_0..b_kr, lam, moduli, rank
+    ((8, 3, 3), (-31, 33, 11, 11), -63, [43085477, 171], 56),
+    ((8, 3, 3), (-59, 93, -24, 28), 22, [337891840, 9], 56),
+    ((8, 3, 3), (-35, 81, 15, -21), 79, [1027567975, 9], 56),
+    ((8, 3, 3), (16, -31, 88, -68), -43, [1629392100, 19], 56),
+    ((8, 3, 3), (-29, -24, -48, -94), 57, [1034314875, 4], 56),
+    ((8, 3, 3), (-97, 75, -65, 64), 99, [361366245, 16], 56),
+    ((8, 3, 3), (18, 50, 98, -30), -59, [1643450809, 9], 56),
+    ((8, 3, 3), (-39, 52, 40, -66), -403, [648458748, 5], 36),
+    ((8, 2, 3), (-45, -90, 0), 0, [922640625, 3584], 21),
+]
+
+
+@pytest.mark.parametrize("shape, coeffs, lam, moduli, rank", _TWO_MODULI)
+def test_valence_finish_combines_two_moduli_into_one_chain(
+        monkeypatch, shape, coeffs, lam, moduli, rank):
+    seen, diagonal_mod = [], valence._diagonal_mod
+
+    def spy(a, mod):
+        seen.append(mod)
+        return diagonal_mod(a, mod)
+    monkeypatch.setattr(valence, "_diagonal_mod", spy)
+    a = _scheme_array(SchemeParams(*shape, 0), coeffs, lam)
+    rest = valence_finish(a)
+    assert seen == moduli
+    assert len(rest) == rank
+    assert rest == _eliminate(a.tolist(), *a.shape)
 
 
 def test_integer_roots_give_up_past_float64():
@@ -1120,7 +1155,7 @@ def test_coprime_base_and_group_from_diagonal_match_trial_division(entries):
     exponents, free = {}, 0
     for v, m in entries:
         free += m if v == 0 else 0
-        for p, e in _trial_division(abs(v), 2 ** 16).items() if v else ():
+        for p, e in _trial_division(abs(v)).items() if v else ():
             exponents.setdefault(p, []).extend([e] * m)
     factors = [1] * max(map(len, exponents.values()), default=0)
     for p, es in exponents.items():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 from itertools import combinations
 from math import comb, gcd, prod
@@ -19,14 +20,15 @@ from setsmith.scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
                              SizeCapExceeded, block_multiplicity, c_coeff,
                              degree, eigenvalues, ms_matrices, ms_matrix,
                              smith_group)
-from setsmith.scheme import _combined_f
+from setsmith.scheme import _combined_f, _pascal
 from setsmith.exact import (AbelianGroup, ExactError, _coprime_base,
                             group_from_diagonal, smith_normal_form)
 from setsmith.oracle import (THEOREMS, bench, brute_force_group,
                              verify_closed_form)
-from setsmith.subsets import mu
+from setsmith.subsets import enumerate_subsets, mu
 from setsmith.superstandard import (boundary_interior_split, check_conjecture,
-                                    p_tilde, w_tilde)
+                                    p_tilde, phi_boundary_column_match,
+                                    w_tilde)
 
 
 def test_params_validation():
@@ -825,7 +827,7 @@ def test_combined_f_matches_the_per_ell_definition(data):
     want = [[sum(b * f_coeff(i, j, SchemeParams(n, kr, kc, ell))
                  for ell, b in enumerate(coeffs)) if i <= j else 0
              for j in range(kc + 1)] for i in range(kr + 1)]
-    assert _combined_f(p, coeffs) == want
+    assert _combined_f(p, coeffs, _pascal(p.kc)) == want
 
 
 def test_combined_f_matches_the_table_through_c_coeff():
@@ -847,7 +849,7 @@ def test_combined_f_matches_the_table_through_c_coeff():
                 want = [[sum((-1) ** (i + v) * comb(i, v) * g[v][j]
                              for v in range(i + 1)) if i <= j else 0
                          for j in range(kc + 1)] for i in range(kr + 1)]
-                assert _combined_f(p, coeffs) == want, (p, coeffs)
+                assert _combined_f(p, coeffs, _pascal(kc)) == want, (p, coeffs)
 
 
 # The names `import setsmith` offered before the dense builders, the proof
@@ -883,3 +885,45 @@ def test_every_exported_name_still_resolves():
     assert brute_force_group is setsmith.oracle.brute_force_group
     assert scheme_element_matrix is setsmith.oracle.scheme_element_matrix
     assert setsmith.e_matrices is setsmith.proof.e_matrices
+
+
+# argument checks that no other test reaches: the call, and the exact type
+# and message of its refusal
+_REFUSALS = {
+    "ragged rows": (lambda: IntMatrix([[1, 2], [3]]), ExactError,
+                    "ragged rows, or rows of other than cols entries"),
+    "row labels": (lambda: IntMatrix([[1]], row_labels=[(), (1,)]),
+                   ExactError, "row label count does not match row count"),
+    "column labels": (lambda: IntMatrix([[1]], col_labels=[]), ExactError,
+                      "column label count does not match column count"),
+    "diagonal": (lambda: IntMatrix.diagonal([1, 2, 3], 2, 3), ExactError,
+                 "too many diagonal entries for the given shape"),
+    "empty file": (lambda: IntMatrix.from_text(""), ExactError,
+                   "empty matrix file"),
+    "header": (lambda: IntMatrix.from_text("2 2 2\n"), ExactError,
+               "first line must be 'rows cols'"),
+    "stack": (lambda: exact.stack([]), ExactError,
+              "cannot stack zero matrices"),
+    "degree": (lambda: degree(3, 2, 3), ParameterError,
+               "need 0 <= ell <= k <= n"),
+    "ms_matrix": (lambda: ms_matrix(3, SchemeParams(8, 2, 2, 0)),
+                  ParameterError, "need 0 <= s <= kr, got s=3"),
+    "enumerate_subsets": (lambda: enumerate_subsets(-1, 2), ValueError,
+                          "n and k must be nonnegative"),
+    "mu": (lambda: mu(4, -1), ValueError, "n and s must be nonnegative"),
+    "unimodular_inverse": (lambda: proof.unimodular_inverse(IntMatrix([[1, 0]])),
+                           ExactError, "only square matrices can be unimodular"),
+    "bier_p": (lambda: bier_p(3, 4), ParameterError, "need 0 <= k <= n"),
+    "p_tilde": (lambda: p_tilde(-1, 0, 0), ParameterError,
+                "need n, i, j >= 0"),
+    "phi_boundary_column_match": (lambda: phi_boundary_column_match(5, 0, 1),
+                                  ParameterError, "need i, j >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_refusals_name_the_argument(case):
+    call, error, message = _REFUSALS[case]
+    with pytest.raises(error, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is error

@@ -233,19 +233,20 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # exact integers of any size are read and printed: lift the limit on
-    # int/str conversion (4300 digits by default) where the interpreter has it
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    # a known command builds its parser alone; anything else (--help, no
-    # command, an unknown one) builds them all, so the usage lists them all
-    first = next(iter(sys.argv[1:] if argv is None else argv), None)
-    parser = build_parser(first if first in _COMMANDS else None)
-    args = parser.parse_args(argv)
-    handler = args.func
-    if isinstance(handler, str):  # one of setsmith.commands, loaded now
-        from . import commands
-        handler = getattr(commands, handler)
+    # int/str conversion (4300 by default), where there is one, while it runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
     try:
+        # a known command builds its parser alone; anything else (--help, no
+        # command, an unknown one) builds them all, so the usage lists them
+        first = next(iter(sys.argv[1:] if argv is None else argv), None)
+        parser = build_parser(first if first in _COMMANDS else None)
+        args = parser.parse_args(argv)
+        handler = args.func
+        if isinstance(handler, str):  # one of setsmith.commands, loaded now
+            from . import commands
+            handler = getattr(commands, handler)
         # the element commands, and export-matrix --which A
         if hasattr(args, "coeffs") and getattr(args, "which", "A") == "A":
             args.element = _resolve_inputs(args, parser)
@@ -253,6 +254,8 @@ def main(argv=None) -> int:
     except (ExactError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

@@ -78,13 +78,16 @@ def _digits(v: int) -> str:
 
 
 def _read_int(token: str) -> int:
-    """int(token), also for ASCII digits past that limit, through decimal."""
+    """A matrix file's entry: an optional sign and ASCII digits, also past
+    that limit, through decimal.  Any other token is refused before int()
+    sees it, which takes '1_0' and other scripts' digits, and checks the
+    length before the syntax."""
+    digits = token[1:] if token[:1] in "+-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ExactError(f"matrix file holds a non-integer token {token!r:.200}")
     try:
         return int(token)
-    except ValueError:
-        digits = token[1:] if token[:1] in "+-" else token
-        if not (digits.isascii() and digits.isdigit()):
-            raise
+    except ValueError:  # past the limit
         from decimal import Decimal
         return int(Decimal(token))
 
@@ -216,11 +219,8 @@ class IntMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "IntMatrix":
-        try:
-            lines = [[_read_int(tok) for tok in line.split()]
-                     for line in text.splitlines()]
-        except ValueError as exc:
-            raise ExactError(f"matrix file holds a non-integer token ({exc})") from None
+        lines = [[_read_int(tok) for tok in line.split()]
+                 for line in text.splitlines()]
         if not lines:
             raise ExactError("empty matrix file")
         if len(lines[0]) != 2:

@@ -228,12 +228,17 @@ def d_diag(n: int, i: int, j: int) -> list[tuple[int, int]]:
 
 def d_prime_entries(n: int, i: int, j: int) -> list[int]:
     """Flat length-mu_i diagonal of the square form D'_{i,j} (no zero columns)."""
-    return [d for d, m in d_diag(n, i, j)[:-1] for _ in range(m)]
+    pairs = d_diag(n, i, j)[:-1]
+    _refuse_oversized(f"D'({n},{i},{j})", mu(n, i), mu(n, i))
+    return [d for d, m in pairs for _ in range(m)]
 
 
 def d_matrix(n: int, i: int, j: int) -> IntMatrix:
     """The mu_i x mu_j rectangular diagonal matrix D_{i,j}."""
-    return IntMatrix.diagonal(d_prime_entries(n, i, j), mu(n, i), mu(n, j))
+    d_diag(n, i, j)  # the parameter checks come before the size check
+    rows, cols = mu(n, i), mu(n, j)
+    _refuse_oversized(f"D({n},{i},{j})", rows, cols)
+    return IntMatrix.diagonal(d_prime_entries(n, i, j), rows, cols)
 
 
 def d_product(n: int, i: int, j: int) -> int:

@@ -8,17 +8,17 @@ f = x^s g(x) of G comes from a Krylov sequence modulo word primes, lifted
 by CRT, and f(G) = 0 is checked exactly by float64 matrix products, whose
 partial sums stay integers below 2**53 (as in FFLAS-FFPACK, Dumas, Giorgi
 and Pernet, ACM TOMS 2008).  With s <= 1, v = |g(0)| bounds every prime
-power of the Smith group.  v is split into pairwise coprime parts
-b**v_b(v), over the roots of f when they are all integers, and otherwise
-over the primes below 2**16 and the cofactor they leave, prime or not;
-with x | f the least prime that does not divide v joins them, to find the
-rank.  The parts below 2**31 are packed into moduli M < 2**31, worked on
-in int32 if 2 M**2 < 2**31 and in int64 otherwise; the larger parts make
-one modulus, worked on in Python ints.  One elimination of A over Z/M for
-each M gives every gcd(d_i, M), so every invariant factor.  Entries of any
-size are taken.  The lane refuses only where its certificate fails: a
-Krylov degree over 16, a failed check, x^2 | f, and a case that needs
-more than 64 primes; the caller then runs the list lane.
+power of the Smith group.  v is split by trial division into pairwise
+coprime parts: p**v_p(v) for the primes p below 2**16, and the cofactor
+they leave, prime or not; with x | f the least prime that does not divide
+v joins them, to find the rank.  The parts below 2**31 are packed into
+moduli M < 2**31, worked on in int32 if 2 M**2 < 2**31 and in int64
+otherwise; the larger parts make one modulus, worked on in Python ints.
+One elimination of A over Z/M for each M gives every gcd(d_i, M), so
+every invariant factor.  Entries of any size are taken.  The lane refuses
+only where its certificate fails: a Krylov degree over 16, a failed
+check, x^2 | f, and a case that needs more than 64 primes; the caller
+then runs the list lane.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .exact import _coprime_base, _product, _xgcd, group_from_diagonal
+from .exact import _product, _xgcd, group_from_diagonal
 
 # The largest degree of a Krylov polynomial accepted (a scheme element's
 # minimal polynomial has degree at most k + 1), the bound below which
@@ -63,36 +63,6 @@ def _trial_division(v: int) -> dict[int, int]:
     if v > 1:
         out[v] = 1
     return out
-
-
-def _newton(coeffs: list[int], r: int) -> int:
-    """r after Newton steps on sum c_i x^i, each rounded to an integer,
-    until one is 0 (at most 64)."""
-    for _ in range(64):
-        value = slope = 0
-        for c in reversed(coeffs):
-            value, slope = value * r + c, slope * r + value
-        step = (2 * value + slope) // (2 * slope) if slope else 0  # rounded
-        if step == 0:
-            return r
-        r -= step
-    return r
-
-
-def _integer_roots(coeffs: list[int]) -> list[int] | None:
-    """The roots, with multiplicity, of the monic sum c_i x^i when they are
-    all integers, else None: np.roots, rounded, refined by integer Newton
-    steps (np.roots can miss clustered roots by several units), and
-    checked by multiplying the linear factors out in Python integers."""
-    try:
-        roots = [_newton(coeffs, round(r.real))
-                 for r in np.roots([float(c) for c in coeffs[::-1]])]
-    except (OverflowError, ValueError, np.linalg.LinAlgError):
-        return None  # a coefficient or a root beyond float64
-    product = [1]
-    for r in roots:
-        product = [x - r * y for x, y in zip([0] + product, product + [0])]
-    return roots if product == coeffs else None
 
 
 # The primes of _primes found so far for each n, largest first.  A tuple is
@@ -344,24 +314,6 @@ def _diagonal_mod(a: np.ndarray, mod: int) -> list[int]:
     return out
 
 
-def _valence_parts(coeffs: list[int], v: int) -> list[int]:
-    """Pairwise coprime parts whose product is v: b**v_b(v) for b over the
-    coprime base of the roots of f when they are all integers, else p**e
-    for the primes p below 2**16 and the cofactor they leave, which need
-    not be prime from 2**32 on: _diagonal_mod takes any modulus."""
-    roots = _integer_roots(coeffs)
-    if roots is None:
-        return [p ** e for p, e in _trial_division(v).items()]
-    parts = []
-    for b in _coprime_base(abs(r) for r in roots if r):
-        part = 1
-        while v % b == 0:
-            v //= b
-            part *= b
-        parts.append(part)
-    return parts
-
-
 def _rank_prime(v: int) -> int:
     """The least prime that does not divide v >= 1: the least q > 1 coprime
     to v, which is prime (its prime factors are coprime to v), at most v+1."""
@@ -422,7 +374,7 @@ def valence_finish(a: np.ndarray) -> list[int] | None:
     v = abs(coeffs[s])
     if not v or not _annihilates(gram, coeffs, bound):
         return None  # x^2 | f, or f(G) != 0
-    parts = _valence_parts(coeffs, v)
+    parts = [p ** e for p, e in _trial_division(v).items()]
     rank_prime = _rank_prime(v) if s else 0
     if rank_prime:
         parts.append(rank_prime)

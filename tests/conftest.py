@@ -1,7 +1,9 @@
 """A time limit for every test: a reduction that stops terminating fails
-its own test after TEST_LIMIT_S seconds instead of hanging the run."""
+its own test after TEST_LIMIT_S seconds instead of hanging the run.  And
+digit_limit, for tests that set the int/str conversion limit."""
 
 import signal
+import sys
 
 import pytest
 
@@ -30,3 +32,15 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def digit_limit():
+    """A setter of the interpreter's limit on int/str conversion (doing
+    nothing where it has none); the limit found is restored after the test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield lambda digits: None
+        return
+    limit = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(limit)

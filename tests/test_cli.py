@@ -15,14 +15,8 @@ from setsmith.oracle import brute_force_group
 from setsmith.scheme import SchemeParams, smith_group
 
 
-@pytest.fixture(autouse=True)
-def _int_str_digits():
-    """main() lifts the interpreter's limit on int/str conversion for the
-    process; each test starts from the default again."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    yield
-    if limit is not None:
-        sys.set_int_max_str_digits(limit)
+def _limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
 
 def run(capsys, *argv):
@@ -221,7 +215,11 @@ def _digits(count):
     return 10 ** (count - 1) + 7
 
 
-def test_integers_past_the_int_str_digit_limit(tmp_path, capsys):
+def test_integers_past_the_int_str_digit_limit(tmp_path, capsys,
+                                               digit_limit):
+    # the test itself writes and parses them; main() lifts the limit only
+    # while it runs
+    digit_limit(0)
     n = str(_digits(4001))
     code, out, _ = run(capsys, "smith-group", "--n", n, "--k", "2",
                        "--ell", "0")
@@ -245,21 +243,45 @@ def test_integers_past_the_int_str_digit_limit(tmp_path, capsys):
     assert out == f"2x2 matrix: rank 2, invariant factors 1,{3 * big}\n"
 
 
-def test_library_integers_past_the_int_str_digit_limit(capsys):
-    # the library prints and reads them without lifting the limit, which
-    # only main() does
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+def test_library_integers_past_the_int_str_digit_limit(capsys, digit_limit):
+    # the library prints and reads them under Python's default limit of
+    # 4300 digits, through decimal, and leaves the limit as it is
+    digit_limit(4300)
+    limit = _limit()
     n = "1" + "0" * 4000
     text = str(smith_group(SchemeParams(10 ** 4000, 2, 2, 0)).group)
     big, digits = _digits(5000), "1" + "0" * 4998 + "7"
+    if limit is not None:
+        with pytest.raises(ValueError):
+            str(big)
     m = IntMatrix([[big, -big], [0, 3]])
     assert m.to_text() == f"2 2\n{digits} -{digits}\n0 3\n"
     assert IntMatrix.from_text(m.to_text()) == m
     assert m.pretty().split() == [digits, "-" + digits, "0", "3"]
-    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert _limit() == limit
     code, out, _ = run(capsys, "smith-group", "--n", n, "--k", "2",
                        "--ell", "0")
     assert code == 0 and f"smith group: {text}\n" in out
+    assert _limit() == limit
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["smith-group", "--n", "1" + "0" * 4000, "--k", "2", "--ell", "0"], 0),
+    (["oracle", "--n", "16", "--k", "3", "--ell", "0", "--cap", "100"], 1),
+    (["smith-group", "--n", "8", "--k", "9", "--ell", "0"], 1),
+    (["smith-group", "--n", "x"], 2),
+])
+def test_main_restores_the_int_str_digit_limit(capsys, digit_limit, argv,
+                                               code):
+    # an answer, a refusal, a parameter error and a usage error (exit 2)
+    digit_limit(4300)
+    limit = _limit()
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    capsys.readouterr()
+    assert _limit() == limit
 
 
 def test_conjecture_command_with_log(tmp_path, capsys):

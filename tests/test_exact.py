@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, count, groupby
 from math import gcd, isqrt, prod
 
@@ -19,8 +20,8 @@ from setsmith.proof import (_bareiss_det, gcd_minors, index, is_unimodular,
 from setsmith.scheme import SchemeParams, degree, eigenvalues, smith_group
 from setsmith import valence
 from setsmith.valence import (_annihilates, _diagonal_mod, _gcd_table,
-                              _integer_roots, _primes, _rank_prime,
-                              _trial_division, _valence_parts, valence_finish)
+                              _primes, _rank_prime, _trial_division,
+                              valence_finish)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -373,9 +374,8 @@ _REFUSED = {
 
 # matrices past int64 arithmetic, which the valence lane answers: a Gram
 # matrix with entries past 2**62, a modulus 2**31 worked on in Python ints,
-# and a valence 65537 * 65539 whose minimal polynomial has irrational
-# roots, so that trial division below 2**16 leaves all of it as a cofactor,
-# which becomes one modulus, composite, on Python ints
+# and a valence 65537 * 65539, which trial division below 2**16 leaves
+# whole as a cofactor, so one modulus, composite, on Python ints
 _PAST_INT64 = {
     "non-square": _with_unit_pair([row + [5] for row in _diag([2, 3] * 9)],
                                   width=19),
@@ -454,8 +454,7 @@ def test_valence_finish_matches_eliminate_on_scheme_elements():
     # and, where the matrix is small enough for the list lane to be quick,
     # with the list lane.  A prime-rich shift moves the other eigenvalues
     # near 5e5, where trial division may leave a cofactor it cannot
-    # factor; the eigenvalues are integers, so the valence splits over
-    # them instead.
+    # factor, which then becomes a modulus on Python ints.
     checked = []
 
     @settings(max_examples=24, deadline=None, derandomize=True, database=None)
@@ -491,48 +490,47 @@ def test_valence_finish_matches_eliminate_on_scheme_elements():
     assert len(checked) >= 12
 
 
-def test_valence_finish_splits_an_unfactored_valence_over_integer_roots():
+def _spy_moduli(monkeypatch):
+    """The list that each modulus valence_finish eliminates modulo joins."""
+    seen, diagonal_mod = [], valence._diagonal_mod
+
+    def spy(a, mod):
+        seen.append(mod)
+        return diagonal_mod(a, mod)
+    monkeypatch.setattr(valence, "_diagonal_mod", spy)
+    return seen
+
+
+def test_valence_finish_keeps_an_unfactored_cofactor_as_one_modulus(
+        monkeypatch):
     # the eigenvalue -124 of 91 A_0 + 11 A_2 (n = 11, k = 3) shifted by
-    # 2*3*5*7*11*13*17: the valence keeps a cofactor 84811 * 85999 above
-    # 2**32 after trial division below 2**16, but every root of the
-    # minimal polynomial is an integer, and their coprime base splits it
+    # 2*3*5*7*11*13*17: trial division below 2**16 leaves the cofactor
+    # 84811 * 85999 of the valence, above 2**32, and it stays one part,
+    # a modulus of its own on Python ints beside two below 2**31
     p = SchemeParams(11, 3, 3, 3)
     coeffs, lam = (91, 0, 11, 0), -124 - 510510
-    m = scheme_element_matrix(p, coeffs, lam)
-    a = _array(m)
-    # the minimal polynomial, from the distinct eigenvalues
-    mu = [1]
-    for e in {e.eigenvalue - lam for e in eigenvalues(p, coeffs)}:
-        mu = [x - e * y for x, y in zip([0] + mu, mu + [0])]
-    roots = _integer_roots(mu)
-    assert roots is not None and 0 not in roots
-    v = abs(prod(roots))
-    assert max(_trial_division(v)) >= 2 ** 32
-    assert sorted(_valence_parts(mu, v)) == sorted(
-        [2 ** 6, 3 ** 4, 119 ** 2, 179, 715, 84811, 85999])
+    v = abs(prod({e.eigenvalue - lam for e in eigenvalues(p, coeffs)}))
+    assert max(_trial_division(v)) == 84811 * 85999
+    seen = _spy_moduli(monkeypatch)
+    a = _scheme_array(p, coeffs, lam)
     f = _chain(valence_finish(a))
-    assert group_from_smith(SmithForm(f, len(f)), m.cols) \
+    assert seen == [84811 * 85999, 1340867520, 7007]
+    assert group_from_smith(SmithForm(f, len(f)), a.shape[1]) \
         == smith_group(p, coeffs, lam).group
 
 
 def test_valence_finish_packs_the_wide_parts_into_one_modulus(monkeypatch):
     # A(12,3,3,3) with 62-bit coefficients, shifted by an eigenvalue: the
-    # valence parts of 2**31 or more (65, 63 and 60 bits) make one modulus
-    # for a single elimination on Python ints, beside an int64 one
+    # valence parts of 2**31 or more make one 170-bit modulus for a single
+    # elimination on Python ints, beside an int64 one
     p = SchemeParams(12, 3, 3, 3)
     rng = random.Random(5)
     coeffs = tuple(rng.randint(-2 ** 62, 2 ** 62) for _ in range(4))
     lam = rng.choice([e.eigenvalue for e in eigenvalues(p, coeffs)])
-    import setsmith.valence
-    seen, diagonal_mod = [], setsmith.valence._diagonal_mod
-
-    def spy(a, mod):
-        seen.append(mod)
-        return diagonal_mod(a, mod)
-    monkeypatch.setattr(setsmith.valence, "_diagonal_mod", spy)
+    seen = _spy_moduli(monkeypatch)
     a = _scheme_array(p, coeffs, lam)
     f = _chain(valence_finish(a))
-    assert [mod.bit_length() for mod in seen if mod >= 2 ** 31] == [187]
+    assert [mod.bit_length() for mod in seen if mod >= 2 ** 31] == [170]
     assert any(mod < 2 ** 31 for mod in seen)
     assert group_from_smith(SmithForm(f, len(f)), a.shape[1]) \
         == smith_group(p, coeffs, lam).group
@@ -542,17 +540,17 @@ def test_valence_finish_packs_the_wide_parts_into_one_modulus(monkeypatch):
 # valence packs into two moduli: the seven of the dense oracle's benchmark
 # pass at n = 8, k = 3 (all nonsingular), one square one shifted to an
 # eigenvalue, and one 28 x 56 A(8, 2, 3, ell) combination of rank 21.  In
-# the singular ones the rank prime 5 is a modulus of its own, and 7 shares
-# the modulus 3584 with 2**9.
+# the singular ones the rank prime shares a modulus: 5 the modulus
+# 810573435 with 162114687, and 7 the modulus 3584 with 2**9.
 _TWO_MODULI = [  # (n, kr, kc), b_0..b_kr, lam, moduli, rank
-    ((8, 3, 3), (-31, 33, 11, 11), -63, [43085477, 171], 56),
-    ((8, 3, 3), (-59, 93, -24, 28), 22, [337891840, 9], 56),
+    ((8, 3, 3), (-31, 33, 11, 11), -63, [818624063, 9], 56),
+    ((8, 3, 3), (-59, 93, -24, 28), 22, [608205312, 5], 56),
     ((8, 3, 3), (-35, 81, 15, -21), 79, [1027567975, 9], 56),
     ((8, 3, 3), (16, -31, 88, -68), -43, [1629392100, 19], 56),
     ((8, 3, 3), (-29, -24, -48, -94), 57, [1034314875, 4], 56),
-    ((8, 3, 3), (-97, 75, -65, 64), 99, [361366245, 16], 56),
-    ((8, 3, 3), (18, 50, 98, -30), -59, [1643450809, 9], 56),
-    ((8, 3, 3), (-39, 52, 40, -66), -403, [648458748, 5], 36),
+    ((8, 3, 3), (-97, 75, -65, 64), 99, [1156371984, 5], 56),
+    ((8, 3, 3), (18, 50, 98, -30), -59, [2113008183, 7], 56),
+    ((8, 3, 3), (-39, 52, 40, -66), -403, [810573435, 4], 36),
     ((8, 2, 3), (-45, -90, 0), 0, [922640625, 3584], 21),
 ]
 
@@ -560,35 +558,12 @@ _TWO_MODULI = [  # (n, kr, kc), b_0..b_kr, lam, moduli, rank
 @pytest.mark.parametrize("shape, coeffs, lam, moduli, rank", _TWO_MODULI)
 def test_valence_finish_combines_two_moduli_into_one_chain(
         monkeypatch, shape, coeffs, lam, moduli, rank):
-    seen, diagonal_mod = [], valence._diagonal_mod
-
-    def spy(a, mod):
-        seen.append(mod)
-        return diagonal_mod(a, mod)
-    monkeypatch.setattr(valence, "_diagonal_mod", spy)
+    seen = _spy_moduli(monkeypatch)
     a = _scheme_array(SchemeParams(*shape, 0), coeffs, lam)
     rest = valence_finish(a)
     assert seen == moduli
     assert len(rest) == rank
     assert rest == _eliminate(a.tolist(), *a.shape)
-
-
-def test_integer_roots_give_up_past_float64():
-    # the root 2**1100 is an integer, but np.roots cannot hold the
-    # coefficient; the valence is then split by trial division alone
-    coeffs = [-(2 ** 1100), 1]
-    assert _integer_roots(coeffs) is None
-    assert _valence_parts(coeffs, 2 ** 1100) == [2 ** 1100]
-
-
-def test_integer_roots_recovers_clustered_roots():
-    # a minimal polynomial drawn by a prime-rich shift in the test above:
-    # np.roots puts two of its roots at 510116.25 and 510176.42
-    roots = (508722, 510122, 510170, 510510)
-    coeffs = [67588645556310361282800, -530231704591831920, 1559870864704,
-              -2039524, 1]
-    assert sorted(_integer_roots(coeffs)) == list(roots)
-    assert prod(roots) == coeffs[0]
 
 
 @pytest.mark.parametrize("n, ell", [(12, 0), (12, 1), (12, 2), (12, 3),
@@ -1201,15 +1176,30 @@ def test_group_json_refuses_non_integers(d):
         AbelianGroup.from_json_dict(d)
 
 
-def test_matrix_text_roundtrip():
+def test_matrix_text_roundtrip(digit_limit):
+    digit_limit(4300)  # Python's default; the last entry has 5000 digits
     for m in [IntMatrix([[1, -2], [3, 4]]), IntMatrix.zeros(0, 5),
-              IntMatrix.zeros(3, 0), IntMatrix([[10 ** 40]])]:
+              IntMatrix.zeros(3, 0), IntMatrix([[10 ** 40]]),
+              IntMatrix([[-(10 ** 4999) - 7, 0]])]:
         again = IntMatrix.from_text(m.to_text())
         assert again.shape() == m.shape() and again.data == m.data
     with pytest.raises(ExactError):
         IntMatrix.from_text("2 2\n1 2\n3\n")
     with pytest.raises(ExactError):
         IntMatrix.from_text("bogus\n")
+
+
+@pytest.mark.parametrize("token", ["1e0", "1_0", "\u0663"])
+@pytest.mark.parametrize("ones", [0, 5000])
+def test_matrix_text_refuses_non_integer_tokens_at_any_length(
+        digit_limit, token, ones):
+    # int() reads 1_0 as 10 and the Arabic-Indic digit three as 3, and past
+    # Python's default limit of 4300 digits names the length, not the syntax
+    digit_limit(4300)
+    entry = "1" * ones + token
+    message = f"matrix file holds a non-integer token {entry!r:.40}"
+    with pytest.raises(ExactError, match=re.escape(message)):
+        IntMatrix.from_text(f"1 1\n{entry}\n")
 
 
 def test_matmul_matches_reference():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setsmith import exact, proof
+from setsmith import exact, oracle, proof
 from setsmith.exact import IntMatrix
 from setsmith.oracle import (_scheme_array, intersection_matrix,
                              scheme_element_matrix)
@@ -27,8 +27,8 @@ from setsmith.oracle import (THEOREMS, bench, brute_force_group,
                              verify_closed_form)
 from setsmith.subsets import enumerate_subsets, mu
 from setsmith.superstandard import (boundary_interior_split, check_conjecture,
-                                    p_tilde, phi_boundary_column_match,
-                                    w_tilde)
+                                    check_simpler_lemma, p_tilde,
+                                    phi_boundary_column_match, w_tilde)
 
 
 def test_params_validation():
@@ -918,6 +918,8 @@ _REFUSALS = {
                 "need n, i, j >= 0"),
     "phi_boundary_column_match": (lambda: phi_boundary_column_match(5, 0, 1),
                                   ParameterError, "need i, j >= 1"),
+    "_exact_div": (lambda: oracle._exact_div(7, 2), ExactError,
+                   "expected 2 to divide 7 exactly"),
 }
 
 
@@ -927,3 +929,42 @@ def test_refusals_name_the_argument(case):
     with pytest.raises(error, match=re.escape(message)) as info:
         call()
     assert type(info.value) is error
+
+
+# branches that no other test reaches: the call and its value
+_RARE_BRANCHES = {
+    "IntMatrix == list": (lambda: IntMatrix([[1]]) == [[1]], False),
+    "repr": (lambda: repr(IntMatrix.zeros(2, 3)), "IntMatrix(2x3)"),
+    "pretty of an empty matrix": (lambda: IntMatrix.zeros(0, 3).pretty(),
+                                  "(empty 0x3)"),
+    "stack of parts with other column labels": (
+        lambda: exact.stack([IntMatrix([[1]], col_labels=[(1,)]),
+                             IntMatrix([[2]], col_labels=[(2,)])]).col_labels,
+        None),
+    "determinant of a 0 x 0 grid": (lambda: proof._bareiss_det([]), 1),
+    # j = 2 > (n + 1)/3: p_tilde(4, 2, 2) has 3 rows, mu(4, 2) = 2
+    "check_simpler_lemma outside its range": (
+        lambda: check_simpler_lemma(4, 1, 2), False),
+}
+
+
+@pytest.mark.parametrize("case", _RARE_BRANCHES)
+def test_rare_branches(case):
+    call, want = _RARE_BRANCHES[case]
+    assert call() == want
+
+
+def test_d_matrix_refuses_oversized_before_building(monkeypatch):
+    # D(20, 2, 6) has the shape of W(20, 2, 6), which is refused too, and
+    # D(30, 3, 9) would have 3625 x 8454225 cells
+    def built(*args):
+        raise AssertionError("a matrix was built")
+    monkeypatch.setattr(IntMatrix, "diagonal", staticmethod(built))
+    for build, message in (
+            (lambda: d_matrix(20, 2, 6), "D(20,2,6) would be 170x23256"),
+            (lambda: w_matrix(20, 2, 6), "W(20,2,6) would be 170x23256"),
+            (lambda: d_matrix(30, 3, 9), "D(30,3,9) would be 3625x8454225"),
+            (lambda: d_prime_entries(30, 3, 9),
+             "D'(30,3,9) would be 3625x3625")):
+        with pytest.raises(SizeCapExceeded, match=re.escape(message)):
+            build()

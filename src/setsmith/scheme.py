@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
-from operator import index
+from operator import index, mul
 from typing import NamedTuple
 
-from .exact import (AbelianGroup, ExactError, IntMatrix, _eliminate,
+from .exact import (AbelianGroup, ExactError, IntMatrix, _list_factors,
                     group_from_diagonal)
 from .subsets import binomial, mu
 
@@ -180,26 +180,29 @@ def _combined_f(p: SchemeParams, coeffs, pascal) -> list[list[int]]:
     """table[i][j] = sum_l b_l f_i(j), f taken at ell = l, for i <= kr and
     j <= kc: the coefficient of W_{i,j} in the conjugated triangular form of
     the combination.  Zero below the diagonal, where W_{i,j} vanishes.
-    f_coeff's alternating sum runs once, on g[v][j] = sum_l b_l c_v(j), from
-    tables of C(kr-v, kr-l) and b_l C(n-kr-d, kc-l-d), d = j - v (c_coeff)."""
+    f_coeff's alternating sum runs once per row, on g[v][j] = sum_l b_l
+    c_v(j), the product of tables of C(kr-v, kr-l) and b_l C(n-kr-d,
+    kc-l-d), d = j - v (c_coeff)."""
     n, kr, kc, _ = p
-    terms = [ell for ell, b in enumerate(coeffs) if b]
-    low = [[pascal[kr - ell][kr - v] for ell in terms] for v in range(kr + 1)]
-    high = [[coeffs[ell] * binomial(n - kr - d, kc - ell - d) for ell in terms]
+    terms = [(ell, b) for ell, b in enumerate(coeffs) if b]
+    high = [[b * binomial(n - kr - d, kc - ell - d) for ell, b in terms]
             for d in range(kc + 1)]
-    g = [[sum(x * y for x, y in zip(low[v], high[j - v])) if v <= j else 0
-          for j in range(kc + 1)] for v in range(kr + 1)]
-    signed = [[(-1) ** (i + v) * pascal[v][i] for v in range(i + 1)]
-              for i in range(kr + 1)]
-    return [[sum(c * g[v][j] for v, c in enumerate(signed[i])) if i <= j else 0
-             for j in range(kc + 1)] for i in range(kr + 1)]
+    low = [[pascal[kr - ell][kr - v] for ell, _ in terms]
+           for v in range(kr + 1)]
+    g = [[sum(map(mul, x, h)) for h in high[:kc + 1 - v]]  # g[v][j - v]
+         for v, x in enumerate(low)]
+    table = []
+    for i in range(kr + 1):
+        row = [0] * (kc + 1 - i)  # entries i..kc
+        for v in range(i + 1):
+            c = (-1) ** (i - v) * pascal[v][i]
+            row = [x + c * y for x, y in zip(row, g[v][i - v:])]
+        table.append([0] * i + row)
+    return table
 
 
-def ms_matrices(p: SchemeParams, coeffs=None, lam: int = 0) -> list[MsMatrix]:
-    """The blocks M_s, entries -lam*delta_{ij} + C(j-s,i-s) * sum_l b_l f_i(j)
-    for s <= i <= kr, s <= j <= kc (upper triangular when square), s = 0..kr.
-    Refused below n = 3*kc - 1, where multiplicities can go negative."""
-    coeffs, lam = _check_coeffs(p, coeffs, lam)
+def _blocks(p: SchemeParams, coeffs, lam: int) -> list[MsMatrix]:
+    """ms_matrices on coefficients and a shift that _check_coeffs passed."""
     if not in_range(p.n, p.kc):
         raise ParameterError(
             f"the block reduction assumes n >= 3*kc - 1 (here n >= {3 * p.kc - 1}); "
@@ -214,6 +217,13 @@ def ms_matrices(p: SchemeParams, coeffs=None, lam: int = 0) -> list[MsMatrix]:
         blocks.append(MsMatrix(s, IntMatrix._keep(data, p.kc + 1 - s),
                                block_multiplicity(p.n, s)))
     return blocks
+
+
+def ms_matrices(p: SchemeParams, coeffs=None, lam: int = 0) -> list[MsMatrix]:
+    """The blocks M_s, entries -lam*delta_{ij} + C(j-s,i-s) * sum_l b_l f_i(j)
+    for s <= i <= kr, s <= j <= kc (upper triangular when square), s = 0..kr.
+    Refused below n = 3*kc - 1, where multiplicities can go negative."""
+    return _blocks(p, *_check_coeffs(p, coeffs, lam))
 
 
 def ms_matrix(s: int, p: SchemeParams, coeffs=None, lam: int = 0) -> MsMatrix:
@@ -235,10 +245,9 @@ def smith_group(p: SchemeParams, coeffs=None, lam: int = 0) -> SmithGroupResult:
     blocks = []
     entries: list[tuple[int, int]] = []
     used_rank = 0
-    for m in ms_matrices(p, coeffs, lam):
-        # the list lane at every k, on a copy: the result keeps the block
+    for m in _blocks(p, coeffs, lam):
         rows, cols = m.entries.shape()
-        diag = _eliminate([row[:] for row in m.entries.data], rows, cols)
+        diag = _list_factors(m.entries.data, rows, cols)
         rank = len(diag)
         delta = tuple(diag) + (0,) * (min(rows, cols) - rank)
         blocks.append(BlockReport(m.s, m.entries, m.multiplicity, delta, rank))
@@ -253,11 +262,7 @@ def smith_group(p: SchemeParams, coeffs=None, lam: int = 0) -> SmithGroupResult:
 def diagonal_form_entries(result: SmithGroupResult) -> list[tuple[int, int]]:
     """Pooled (entry, multiplicity) pairs of the assembled diagonal form,
     in block order; multiplicities already folded in."""
-    out = []
-    for b in result.blocks:
-        for d in b.delta:
-            out.append((d, b.multiplicity))
-    return out
+    return [(d, b.multiplicity) for b in result.blocks for d in b.delta]
 
 
 def eigenvalues(p: SchemeParams, coeffs=None, lam: int = 0) -> list[SpectrumEntry]:

@@ -120,13 +120,13 @@ def _krylov_polynomial(aq: np.ndarray, q: int) -> list[int] | None:
 
 def _annihilates(a: np.ndarray, coeffs: list[int], bound: int) -> bool:
     """Whether sum_i coeffs[i] a^i is exactly zero, for an integer square
-    array a whose rows have absolute sums at most bound.
+    array a whose rows have absolute sums at most bound, and monic coeffs.
 
-    Horner's rule runs in float64 on blocks of identity columns.  No entry
-    of a^i exceeds bound**i, so no partial sum exceeds h = sum |c_i|
-    bound**i, and every one is an integer.  If h < 2**53 each is exact; if
-    not, the check runs modulo primes q from _primes whose product exceeds
-    2h, which no nonzero entry can be a multiple of.
+    Horner's rule runs in float64 on blocks of columns of a + coeffs[-2] I.
+    No entry of a^i exceeds bound**i, so no partial sum exceeds h = sum
+    |c_i| bound**i, and every one is an integer.  If h < 2**53 each is
+    exact; if not, the check runs modulo primes q from _primes whose
+    product exceeds 2h, which no nonzero entry can be a multiple of.
     """
     n = a.shape[0]
     h = 1
@@ -144,10 +144,10 @@ def _annihilates(a: np.ndarray, coeffs: list[int], bound: int) -> bool:
         for j0 in range(0, n, _CHECK_COLUMNS):
             width = min(_CHECK_COLUMNS, n - j0)
             diag = (np.arange(j0, j0 + width), np.arange(width))
-            y = np.zeros((n, width))
-            y[diag] = 1
-            for c in cs[-2::-1]:
-                y = aq @ y
+            y = aq[:, j0:j0 + width].copy()
+            for i, c in enumerate(cs[-2::-1]):
+                if i:
+                    y = aq @ y
                 y[diag] += c
                 if q is not None:
                     y %= q

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from setsmith.exact import (_BEZOUT_BELOW, _INT64_CEILING, _LIST_LANE_BELOW,
-                            AbelianGroup, _as_array,
+                            _MINORS_UP_TO, AbelianGroup, _as_array,
                             ExactError, IntMatrix, SmithForm, _coprime_base,
-                            _eliminate,
+                            _eliminate, _list_factors,
                             group_from_diagonal, group_from_smith,
                             smith_normal_form, stack)
 from setsmith import proof
@@ -148,6 +148,77 @@ def _random_unimodular(rng, n):
         if rng.random() < 0.2:
             data[i] = [-x for x in data[i]]
     return IntMatrix(data)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from([(0, 0), (0, 4)] + [
+           (r, c) for r in (1, 2, 3) for c in range(r, _MINORS_UP_TO + 1)]),
+       tall=st.booleans(),
+       kind=st.sampled_from(["rank", "full", "triangular", "rank"]),
+       rank=st.integers(0, 3), bits=st.sampled_from([3, 20, 70, 130]),
+       zero_row=st.booleans(), zero_col=st.booleans(),
+       seed=st.integers(0, 2 ** 32))
+def test_minors_match_eliminate_in_their_gate(shape, tall, kind, rank, bits,
+                                              zero_row, zero_col, seed):
+    # every shape that _list_factors answers by the gcds of its minors, both
+    # ways round: full, upper triangular, or a product of rank at most
+    # `rank` scaled by a common factor; negative entries, entries past
+    # 2**64, and a zero row or column
+    rng = random.Random(seed)
+    rows, cols = shape[::-1] if tall else shape
+    top = 2 ** bits
+    if kind == "rank":
+        rank = min(rank, rows, cols)
+        left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)]
+        scale = rng.randint(1, top)
+        a = [[scale * sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+             if rank else [0] * cols for row in left]
+    else:
+        a = [[rng.randint(-top, top) if kind == "full" or i <= j else 0
+              for j in range(cols)] for i in range(rows)]
+    if zero_row and rows:
+        a[rng.randrange(rows)] = [0] * cols
+    if zero_col and cols:
+        j = rng.randrange(cols)
+        for row in a:
+            row[j] = 0
+    before = [row[:] for row in a]
+    want = _eliminate([row[:] for row in a], rows, cols)
+    assert _list_factors(a, rows, cols) == want
+    assert a == before
+    assert tuple(want) == _minor_factors(IntMatrix(a, cols=cols))
+
+
+def test_the_minor_gate_goes_by_shape(monkeypatch):
+    # within the gate no matrix reaches _eliminate, given as an IntMatrix or
+    # as an array; past it, and for transforms, every one does; so do none
+    # of the blocks of k <= 2, square (3 x 3 at most) or 2 x 3 (3 x 4)
+    calls = []
+    eliminate = _eliminate
+
+    def spy(a, m, n):
+        calls.append((m, n))
+        return eliminate(a, m, n)
+
+    from setsmith import exact
+    monkeypatch.setattr(exact, "_eliminate", spy)
+    rng = random.Random(5)
+    shapes = [(1, 1), (1, 6), (6, 1), (2, 6), (3, 6), (6, 3), (3, 7), (7, 2),
+              (4, 4), (0, 3), (3, 0)]
+    for rows, cols in shapes:
+        m = rand_matrix(rng, rows, cols)
+        array = np.array(m.data, dtype=np.int64).reshape(rows, cols)
+        assert smith_normal_form(m) == smith_normal_form(array)
+    assert calls == [(3, 7), (3, 7), (7, 2), (7, 2), (4, 4), (4, 4)]
+    calls.clear()
+    smith_normal_form(rand_matrix(rng, 2, 3), with_transforms=True)
+    assert calls == [(2, 3)]
+    calls.clear()
+    for p in (SchemeParams(5, 1, 1, 0), SchemeParams(10 ** 30, 2, 2, 1),
+              SchemeParams(9, 2, 3, 1)):
+        smith_group(p, None, 0)
+    assert calls == []
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

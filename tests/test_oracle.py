@@ -161,6 +161,20 @@ def test_oracle_matches_the_blocks_at_2002_columns(ell):
     assert brute_force_group(p, None, lam) == smith_group(p, None, lam).group
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 2])
+def test_oracle_matches_the_blocks_on_two_digit_combinations_at_2002_columns(
+        seed):
+    # a random combination with coefficients and shift in -99..99 at
+    # (14, 5): one dense reduction of 2002 columns each
+    rng = random.Random(seed)
+    p = SchemeParams(14, 5, 5, 5)
+    coeffs = tuple(rng.randint(-99, 99) for _ in range(6))
+    lam = rng.randint(-99, 99)
+    assert brute_force_group(p, coeffs, lam) \
+        == smith_group(p, coeffs, lam).group
+
+
 def test_bench_reports():
     rep = bench(SchemeParams(12, 3, 3, 1), repeats=1)
     assert rep.agree is True

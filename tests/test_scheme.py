@@ -452,6 +452,37 @@ def test_reducing_a_block_leaves_its_matrix_unchanged(p, coeffs, lam):
         for m in ms_matrices(p, coeffs, lam)]
 
 
+def test_block_deltas_match_eliminate():
+    # each block's delta and rank from smith_group, by the gcds of its
+    # minors up to 3 x 6, equal _eliminate's on the block: random two-digit
+    # combinations at kc <= 5, square and not, shifted anywhere or to an
+    # eigenvalue (a singular block), and the Johnson and Kneser Laplacians,
+    # at n from 3kc - 1 to 10**30
+    rng = random.Random(28)
+    cases = []
+    for kc in range(1, 6):
+        for n in (3 * kc - 1, 3 * kc, 3 * kc + 5, 10 ** 6, 10 ** 30):
+            cases += [(SchemeParams(n, kc, kc, ell), None, degree(n, kc, ell))
+                      for ell in {0, kc - 1}]
+            for _ in range(6):
+                kr = rng.choice([kc, rng.randint(0, kc)])
+                p = SchemeParams(n, kr, kc, 0)
+                coeffs = tuple(rng.randint(-99, 99) for _ in range(kr + 1))
+                lam = 0
+                if kr == kc:
+                    lam = rng.choice([rng.randint(-99, 99), rng.choice(
+                        [e.eigenvalue for e in eigenvalues(p, coeffs)])])
+                cases.append((p, coeffs, lam))
+    for p, coeffs, lam in cases:
+        for b in smith_group(p, coeffs, lam).blocks:
+            rows, cols = b.matrix.shape()
+            diag = exact._eliminate([row[:] for row in b.matrix.data],
+                                    rows, cols)
+            assert (b.delta, b.rank) == (
+                tuple(diag) + (0,) * (min(rows, cols) - len(diag)),
+                len(diag)), (p, coeffs, lam, b.s)
+
+
 def test_smith_group_kneser_adjacency_matches_eigenvalue_diagonal():
     # the disjointness matrix has a diagonal form listing its eigenvalues
     # C(5-j, 3-j) with multiplicity mu_j; as a group that's what the block

@@ -23,12 +23,12 @@ then runs the list lane.
 
 from __future__ import annotations
 
-from itertools import chain, count
+from itertools import count
 from math import gcd, isqrt
 
 import numpy as np
 
-from .exact import _product, _xgcd, group_from_diagonal
+from .exact import _product, _trial_division, _xgcd, group_from_diagonal
 
 # The largest degree of a Krylov polynomial accepted (a scheme element's
 # minimal polynomial has degree at most k + 1), the bound below which
@@ -43,26 +43,6 @@ _FLOAT_EXACT = 1 << 53
 # entries: on a 165 x 165 int32 block, np.gcd took 46-58 ns an element and
 # a lookup 3.6 ns, about as long as % (2-core VM).
 _TABLE_BELOW = 1 << 15
-
-
-def _trial_division(v: int) -> dict[int, int]:
-    """v >= 1 as pairwise coprime factors, each with its exponent: the
-    primes below 2**16, by trial division by 2 and the odd numbers (a
-    composite never divides once the primes below it are out), and the
-    cofactor left, with exponent 1, which is prime if it is below 2**32."""
-    out = {}
-    for p in chain((2,), range(3, 1 << 16, 2)):
-        if p * p > v:
-            break
-        if v % p == 0:
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            out[p] = e
-    if v > 1:
-        out[v] = 1
-    return out
 
 
 # The primes of _primes found so far for each n, largest first.  A tuple is

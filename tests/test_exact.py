@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from setsmith.exact import (_BEZOUT_BELOW, _INT64_CEILING, _LIST_LANE_BELOW,
-                            _MINORS_UP_TO, AbelianGroup, _as_array,
-                            ExactError, IntMatrix, SmithForm, _coprime_base,
-                            _eliminate, _list_factors,
+from setsmith.exact import (_BEZOUT_BELOW, _INT64_CEILING,
+                            _LIST_LANE_BELOW, _MINORS_UP_TO, AbelianGroup,
+                            _as_array, ExactError, IntMatrix, SmithForm,
+                            _coprime_base, _eliminate, _list_factors,
+                            _trial_division, _triangular_factors,
                             group_from_diagonal, group_from_smith,
                             smith_normal_form, stack)
 from setsmith import proof
@@ -20,8 +21,7 @@ from setsmith.proof import (_bareiss_det, gcd_minors, index, is_unimodular,
 from setsmith.scheme import SchemeParams, degree, eigenvalues, smith_group
 from setsmith import valence
 from setsmith.valence import (_annihilates, _diagonal_mod, _gcd_table,
-                              _primes, _rank_prime, _trial_division,
-                              valence_finish)
+                              _primes, _rank_prime, valence_finish)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -190,10 +190,64 @@ def test_minors_match_eliminate_in_their_gate(shape, tall, kind, rank, bits,
     assert tuple(want) == _minor_factors(IntMatrix(a, cols=cols))
 
 
+def _smooth_triangular(rng, m, top):
+    """An m x m upper triangular list matrix whose diagonal entries are
+    +-2**a 3**b 5**c, some of them repeated, times 7 or 65537 at times, and
+    whose entries above it are 0 or up to top, some times a small power of
+    2, 3 or 5: so that p**2 often divides D_(m-1) and the block left on the
+    positions p divides is often divisible by p as a whole."""
+    pool = [rng.choice([-1, 1]) * 2 ** rng.randint(0, 4)
+            * 3 ** rng.randint(0, 3) * 5 ** rng.randint(0, 2)
+            * rng.choice([1, 1, 1, 1, 7, 65537])
+            for _ in range(rng.randint(1, m))]
+    small = [1, 1, 2, 3, 4, 5, 9, 25]
+    return [[rng.choice(pool) if i == j else 0 if i > j or rng.random() < 0.3
+             else rng.choice(small) * rng.randint(-top, top)
+             for j in range(m)] for i in range(m)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=st.one_of(st.integers(4, 8), st.integers(4, 24)),
+       bits=st.sampled_from([2, 6, 20, 70]), seed=st.integers(0, 2 ** 32))
+def test_the_adjugate_kernel_matches_eliminate(m, bits, seed):
+    # upper triangular with smooth diagonals, repeated, negative, and
+    # entries past 2**64: the kernel answers exactly when trial division
+    # leaves a cofactor below 2**32 of D_(m-1), the product of all but the
+    # last invariant factor, and then gives _eliminate's factors;
+    # _list_factors always does, and leaves a as it was
+    a = _smooth_triangular(random.Random(seed), m, 2 ** bits)
+    before = [row[:] for row in a]
+    want = _eliminate([row[:] for row in a], m, m)
+    out = _triangular_factors(a, m)
+    cofactor = max(_trial_division(prod(want[:-1])), default=1)
+    assert out == (want if cofactor < 2 ** 32 else None)
+    assert _list_factors(a, m, m) == want
+    assert a == before
+
+
+def test_the_adjugate_kernel_falls_back():
+    # D_(m-1) = 65537**2, a prime square past 2**32 that trial division
+    # below 2**16 leaves as its cofactor; a zero on the diagonal; an entry
+    # below it: no answer, and _eliminate's from _list_factors
+    q = 65537
+    square = [[1, 2, 0, 3], [0, q, q, 0], [0, 0, q, 5 * q], [0, 0, 0, q]]
+    zero = [[2, 1, 0, 4], [0, 0, 3, 1], [0, 0, 6, 1], [0, 0, 0, 9]]
+    below = [[2, 1, 0, 4], [0, 3, 3, 1], [0, 0, 6, 1], [0, 8, 0, 9]]
+    assert _eliminate([row[:] for row in square], 4, 4) == [1, q, q, q]
+    for a in (square, zero, below):
+        assert _triangular_factors(a, 4) is None
+        want = _eliminate([row[:] for row in a], 4, 4)
+        assert _list_factors(a, 4, 4) == want
+
+
 def test_the_minor_gate_goes_by_shape(monkeypatch):
     # within the gate no matrix reaches _eliminate, given as an IntMatrix or
     # as an array; past it, and for transforms, every one does; so do none
-    # of the blocks of k <= 2, square (3 x 3 at most) or 2 x 3 (3 x 4)
+    # of the blocks of k <= 2, square (3 x 3 at most) or 2 x 3 (3 x 4).
+    # A square upper triangular one of 4 or more rows with no zero on its
+    # diagonal does not either (it takes the gcd of its adjugate), nor do
+    # the blocks of k = 3, 5 and 40 off an eigenvalue; with a zero on the
+    # diagonal, an entry below it, one more column, or transforms, it does
     calls = []
     eliminate = _eliminate
 
@@ -218,6 +272,26 @@ def test_the_minor_gate_goes_by_shape(monkeypatch):
     for p in (SchemeParams(5, 1, 1, 0), SchemeParams(10 ** 30, 2, 2, 1),
               SchemeParams(9, 2, 3, 1)):
         smith_group(p, None, 0)
+    assert calls == []
+    for m in (4, 5, 6, _LIST_LANE_BELOW - 1):
+        a = [[rng.randint(1, 9) if i == j else rng.randint(-9, 9) * (i < j)
+              for j in range(m)] for i in range(m)]
+        array = np.array(a, dtype=np.int64)
+        assert smith_normal_form(IntMatrix(a)) == smith_normal_form(array)
+        assert calls == []
+        smith_normal_form(IntMatrix(a), with_transforms=True)
+        a[m - 1][0] = 1
+        smith_normal_form(IntMatrix(a))
+        a[m - 1][0], a[1][1] = 0, 0
+        smith_normal_form(IntMatrix(a))
+        smith_normal_form(IntMatrix([row + [1] for row in a]))
+        assert calls == [(m, m)] * 3 + [(m, m + 1)]
+        calls.clear()
+    for p, coeffs, lam in ((SchemeParams(11, 3, 3, 0), (5, -7, 9, 11), 3),
+                           (SchemeParams(10 ** 30, 5, 5, 0), range(2, 8), -1),
+                           (SchemeParams(120, 40, 40, 0),
+                            [(-1) ** l * (l % 7 + 2) for l in range(41)], 7)):
+        smith_group(p, coeffs, lam)
     assert calls == []
 
 

@@ -454,17 +454,23 @@ def test_reducing_a_block_leaves_its_matrix_unchanged(p, coeffs, lam):
 
 def test_block_deltas_match_eliminate():
     # each block's delta and rank from smith_group, by the gcds of its
-    # minors up to 3 x 6, equal _eliminate's on the block: random two-digit
-    # combinations at kc <= 5, square and not, shifted anywhere or to an
-    # eigenvalue (a singular block), and the Johnson and Kneser Laplacians,
-    # at n from 3kc - 1 to 10**30
+    # minors up to 3 x 6 and by the gcd of its adjugate where square, equal
+    # _eliminate's on the block, up to 22 rows: random two-digit
+    # combinations, square and not, shifted anywhere or to an eigenvalue (a
+    # singular block), and the Johnson and Kneser Laplacians and adjacency
+    # matrices, at n from 3kc - 1 to 10**30; every n at kc <= 5, one n and
+    # two combinations per kc past that
     rng = random.Random(28)
     cases = []
-    for kc in range(1, 6):
-        for n in (3 * kc - 1, 3 * kc, 3 * kc + 5, 10 ** 6, 10 ** 30):
-            cases += [(SchemeParams(n, kc, kc, ell), None, degree(n, kc, ell))
-                      for ell in {0, kc - 1}]
-            for _ in range(6):
+    for kc in range(1, 22):
+        ns = (3 * kc - 1, 3 * kc, 3 * kc + 5, 10 ** 6, 10 ** 30)
+        if kc > 5:  # in turn, and 10**30 only up to kc = 15
+            ns = [ns[kc % (5 if kc <= 15 else 4)]]
+        for n in ns:
+            cases += [(SchemeParams(n, kc, kc, ell), None, lam)
+                      for ell in {0, kc - 1}
+                      for lam in (0, degree(n, kc, ell))]
+            for _ in range(6 if kc <= 5 else 2):
                 kr = rng.choice([kc, rng.randint(0, kc)])
                 p = SchemeParams(n, kr, kc, 0)
                 coeffs = tuple(rng.randint(-99, 99) for _ in range(kr + 1))

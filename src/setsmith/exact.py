@@ -2,19 +2,17 @@
 
 Everything here is exact.  The Smith reduction has two lanes.  The list lane
 (_list_factors) works on lists of Python integers, which cannot
-overflow.  It takes the gcds of the minors of a matrix of at most 3 rows or
-columns and at most _MINORS_UP_TO of either, as the last three M_s blocks
-of a square combination are, and D_(m-1) of a square upper triangular one
-of 4 or more rows with no zero on its diagonal, as the other square M_s
-blocks off an eigenvalue are, from the gcd of its adjugate, then the rest
-by one elimination modulo p**e per prime p whose square divides D_(m-1)
-(_triangular_factors).  It eliminates any other one, or one whose D_(m-1)
-trial division cannot split (_eliminate): below _BEZOUT_BELOW rows and
-columns by one 2x2 Bezout step per entry, and past that by Euclid's
-rounded quotients, whose entries grow less.  It reduces every M_s block,
-whatever its size, because scheme.smith_group calls it directly;
-smith_normal_form sends it a matrix with fewer than _LIST_LANE_BELOW rows
-or columns.  Any other one (the dense oracle's
+overflow.  It takes a square upper triangular matrix with no zero on its
+diagonal, as every square M_s block off an eigenvalue is, from D_1, the
+gcd of its entries, and D_(m-1), the gcd of its adjugate, then from 4 rows
+on the rest by one elimination modulo p**e per prime p whose square
+divides D_(m-1) (_triangular_factors).  It eliminates any other one, or
+one whose D_(m-1) trial division cannot split (_eliminate): below
+_BEZOUT_BELOW rows and columns by one 2x2 Bezout step per entry, and past
+that by Euclid's rounded quotients, whose entries grow less.  It reduces
+every M_s block, whatever its size, because scheme.smith_group calls it
+directly; smith_normal_form sends it a matrix with fewer than
+_LIST_LANE_BELOW rows or columns.  Any other one (the dense oracle's
 matrices) goes to the valence lane (setsmith.valence), which works modulo
 moduli bounded by the valence of the matrix, or of its Gram matrix when it
 is not square, and checks its minimal polynomial exactly.  A matrix the
@@ -32,8 +30,9 @@ hundreds of times as long as a block query.
 from __future__ import annotations
 
 import sys
+from functools import cache
 from math import gcd, prod
-from itertools import chain, combinations, groupby
+from itertools import chain, groupby
 from operator import index, mul
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -65,12 +64,6 @@ _LIST_LANE_BELOW = 20
 # to 32 at n = 10**30, 0.37-0.48 at 9 and 10 rows, 0.54-0.68 at 11, 0.7-1.4
 # at 12 and 0.6-2.0 at 13, as the coefficients grow; 32 on a random 30 x 30.
 _BEZOUT_BELOW = 12
-
-# _list_factors takes the gcds of the minors of a matrix of at most 3 rows or
-# columns and at most _MINORS_UP_TO of either: on M_s blocks (kr <= 2,
-# kc <= 12, n to 10**30, two-digit coefficients; 2-core VM) in 0.25-0.65 of
-# _eliminate's time up to 6 columns, 0.88 at 3 x 6 and 1.34 at 3 x 7.
-_MINORS_UP_TO = 6
 
 
 class ExactError(ValueError):
@@ -454,13 +447,36 @@ def _eliminate(a: list[list[int]], m: int, n: int) -> list[int]:
                     p = g
 
 
+@cache
+def _small_primes() -> tuple[tuple[int, ...], int]:
+    """The primes below 2**16, by a sieve, and their product (94 kbit)."""
+    sieve = bytearray(2) + bytearray([1]) * ((1 << 16) - 2)
+    for p in range(2, 1 << 8):
+        sieve[p * p::p] = bytes(len(sieve[p * p::p]))
+    primes = tuple(p for p, is_prime in enumerate(sieve) if is_prime)
+    return primes, prod(primes)
+
+
 def _trial_division(v: int) -> dict[int, int]:
     """v >= 1 as pairwise coprime factors, each with its exponent: the
-    primes below 2**16, by trial division by 2 and the odd numbers (a
-    composite never divides once the primes below it are out), and the
-    cofactor left, with exponent 1, which is prime if it is below 2**32."""
+    primes below 2**16 and the cofactor left, with exponent 1, which is
+    prime if it is below 2**32.  It tries 2 and the odd numbers (a composite
+    never divides once the primes below it are out), or past 2**64, where
+    each remainder is long, only the primes of gcd(v, their product)."""
+    trial = chain((2,), range(3, 1 << 16, 2))
+    if v >> 64:
+        primes, product = _small_primes()
+        g, trial = gcd(v, product), []  # each small prime of v once
+        for p in primes:
+            if p * p > g:
+                break
+            if g % p == 0:
+                g //= p
+                trial.append(p)
+        if g > 1:
+            trial.append(g)
     out = {}
-    for p in chain((2,), range(3, 1 << 16, 2)):
+    for p in trial:
         if p * p > v:
             break
         if v % p == 0:
@@ -510,25 +526,32 @@ def _local_parts(a: list[list[int]], p: int, e: int) -> list[int]:
 
 
 def _triangular_factors(a: list[list[int]], m: int) -> list[int] | None:
-    """The invariant factors of the m x m list matrix a if it is upper
-    triangular with no zero on its diagonal and _trial_division leaves
-    D = D_(m-1), the gcd of the entries of adj(a), a cofactor below 2**32,
-    which is then prime; else None.
+    """The invariant factors of the m x m list matrix a if m > 0 and it is
+    upper triangular with no zero on its diagonal, else None; from 4 rows
+    on also None if trial division leaves a cofactor of 2**32 or more of D
+    (below), which may not be prime.
 
-    adj(a) = det * a^-1 comes column by column by back-substitution, with
-    exact division, and stops once D is 1.  Then d_m = |det| / D, and a
-    prime p with p**e || D = d_1 ... d_(m-1) goes whole to d_(m-1) when
-    e = 1 or p divides only two diagonal entries (at most two d_i then
-    hold it, d_m one of them), and is spread over the others by
-    _local_parts otherwise.
+    Each factor is D_1, the gcd of the entries, times that of a / D_1 (a
+    below), whose d_1 is 1: at 1 and 2 rows, D_1 and |det| / D_1.  D =
+    D_(m-1) is the gcd of adj(a) = det * a^-1, which comes column by column
+    by back-substitution, with exact division, and stops once D is 1; then
+    d_m = |det| / D, and at 3 rows d_2 = D.  From 4 rows on, a prime p with
+    p**e || D = d_2 ... d_(m-1) goes whole to d_(m-1) when e = 1 or p
+    divides only two diagonal entries (at most two d_i then hold it, d_m
+    one of them), and is spread over the others by _local_parts otherwise.
 
-    On the M_s blocks of random two-digit combinations (k = 4 to 48, n =
-    3k, 10**6 and 10**30; 2-core VM) it took 0.16-0.41 of _eliminate's time
-    at 4 to 6 rows, 0.10-0.39 at 7 to 11 and 0.03-0.24 from 12 to 49, and
-    answered every block, so it takes any size."""
+    On the M_s blocks of random two-digit combinations (k = 4 to 48, n = 3k
+    to 10**30; 2-core VM) it took 0.03-0.41 of _eliminate's time at 4 to 49
+    rows, less as they grow, and answered every one, so it takes any size."""
     diag = [a[i][i] for i in range(m)]
-    if not all(diag) or any(a[i][j] for i in range(1, m) for j in range(i)):
+    if not (m and all(diag)) or any(any(row[:i]) for i, row in enumerate(a)):
         return None
+    d1 = gcd(*chain.from_iterable(a))
+    if m < 3:
+        return [d1, abs(prod(diag)) // d1][:m]
+    if d1 > 1:
+        a = [[x // d1 for x in row] for row in a]
+        diag = [t // d1 for t in diag]
     det = prod(diag)
     cols = [det // t for t in diag]  # the diagonal of adj(a)
     div = gcd(*cols)
@@ -539,11 +562,11 @@ def _triangular_factors(a: list[list[int]], m: int) -> list[int] | None:
         for i in range(j - 1, -1, -1):
             y[i] = -sum(map(mul, a[i][i + 1:j + 1], y[i + 1:])) // diag[i]
             div = gcd(div, y[i])
-    parts = _trial_division(div)
-    if max(parts, default=1) >> 32:
+    out = [d1] * m
+    out[-1] *= abs(det) // div
+    parts = {div: 1} if m == 3 else _trial_division(div)
+    if m > 3 and max(parts, default=1) >> 32:
         return None
-    out = [1] * m
-    out[-1] = abs(det) // div
     for p, e in parts.items():
         if e == 1 or sum(not t % p for t in diag) == 2:
             out[-2] *= p ** e
@@ -555,35 +578,11 @@ def _triangular_factors(a: list[list[int]], m: int) -> list[int] | None:
 
 def _list_factors(a: list[list[int]], rows: int, cols: int) -> list[int]:
     """The invariant factors of the rows x cols list matrix a, left as it
-    was: in the gate of _MINORS_UP_TO by the determinantal divisors D_i,
-    the gcds of the i x i minors, which are d_1 ... d_i up to the rank
-    (Newman, Integral Matrices, ch. II); a square one of 4 or more rows by
-    _triangular_factors where it answers; any other one by _eliminate on a
-    copy."""
-    size = min(rows, cols)
-    if size > 3 or max(rows, cols) > _MINORS_UP_TO:
-        if rows == cols:
-            out = _triangular_factors(a, rows)
-            if out is not None:
-                return out
-        return _eliminate([row[:] for row in a], rows, cols)
-    vecs = list(zip(*a)) if rows <= cols else a  # of size entries each
-    pairs = ((0, 1), (0, 2), (1, 2))[:2 * size - 3]  # at size 2 or 3
-    out, last = [], 1
-    for order in range(1, size + 1):
-        if order == 1:
-            div = gcd(*chain.from_iterable(a))
-        elif order == 2:
-            div = gcd(*[x[i] * y[j] - x[j] * y[i]
-                        for x, y in combinations(vecs, 2) for i, j in pairs])
-        else:
-            div = gcd(*[x0 * (y1 * z2 - y2 * z1) - y0 * (x1 * z2 - x2 * z1)
-                        + z0 * (x1 * y2 - x2 * y1) for (x0, x1, x2),
-                        (y0, y1, y2), (z0, z1, z2) in combinations(vecs, 3)])
-        if not div:  # D_order, 0 past the rank
-            break
-        out.append(div // last)
-        last = div
+    was: a square one by _triangular_factors where it answers, any other
+    one by _eliminate on a copy."""
+    out = _triangular_factors(a, rows) if rows == cols else None
+    if out is None:
+        out = _eliminate([row[:] for row in a], rows, cols)
     return out
 
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from setsmith import exact
 from setsmith.exact import (_BEZOUT_BELOW, _INT64_CEILING,
-                            _LIST_LANE_BELOW, _MINORS_UP_TO, AbelianGroup,
+                            _LIST_LANE_BELOW, AbelianGroup,
                             _as_array, ExactError, IntMatrix, SmithForm,
                             _coprime_base, _eliminate, _list_factors,
                             _trial_division, _triangular_factors,
@@ -152,31 +153,34 @@ def _random_unimodular(rng, n):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(shape=st.sampled_from([(0, 0), (0, 4)] + [
-           (r, c) for r in (1, 2, 3) for c in range(r, _MINORS_UP_TO + 1)]),
+           (r, c) for r in (1, 2, 3) for c in range(r, 7)]),
        tall=st.booleans(),
        kind=st.sampled_from(["rank", "full", "triangular", "rank"]),
        rank=st.integers(0, 3), bits=st.sampled_from([3, 20, 70, 130]),
        zero_row=st.booleans(), zero_col=st.booleans(),
        seed=st.integers(0, 2 ** 32))
-def test_minors_match_eliminate_in_their_gate(shape, tall, kind, rank, bits,
-                                              zero_row, zero_col, seed):
-    # every shape that _list_factors answers by the gcds of its minors, both
-    # ways round: full, upper triangular, or a product of rank at most
-    # `rank` scaled by a common factor; negative entries, entries past
-    # 2**64, and a zero row or column
+def test_small_shapes_match_eliminate_and_the_minors(shape, tall, kind, rank,
+                                                     bits, zero_row, zero_col,
+                                                     seed):
+    # _list_factors on matrices of at most 3 rows or columns and at most 6
+    # of either, both ways round: full, upper triangular, or a product of
+    # rank at most `rank`, each scaled by a common factor; negative entries,
+    # entries past 2**64, and a zero row or column.  The square triangular
+    # ones with no zero on the diagonal take _triangular_factors
     rng = random.Random(seed)
     rows, cols = shape[::-1] if tall else shape
     top = 2 ** bits
+    scale = rng.choice([1, rng.randint(1, top)])
     if kind == "rank":
         rank = min(rank, rows, cols)
         left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
         right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)]
-        scale = rng.randint(1, top)
-        a = [[scale * sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
              if rank else [0] * cols for row in left]
     else:
         a = [[rng.randint(-top, top) if kind == "full" or i <= j else 0
               for j in range(cols)] for i in range(rows)]
+    a = [[scale * x for x in row] for row in a]
     if zero_row and rows:
         a[rng.randrange(rows)] = [0] * cols
     if zero_col and cols:
@@ -207,22 +211,72 @@ def _smooth_triangular(rng, m, top):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(m=st.one_of(st.integers(4, 8), st.integers(4, 24)),
-       bits=st.sampled_from([2, 6, 20, 70]), seed=st.integers(0, 2 ** 32))
-def test_the_adjugate_kernel_matches_eliminate(m, bits, seed):
-    # upper triangular with smooth diagonals, repeated, negative, and
-    # entries past 2**64: the kernel answers exactly when trial division
-    # leaves a cofactor below 2**32 of D_(m-1), the product of all but the
-    # last invariant factor, and then gives _eliminate's factors;
-    # _list_factors always does, and leaves a as it was
-    a = _smooth_triangular(random.Random(seed), m, 2 ** bits)
+@given(m=st.one_of(st.integers(1, 8), st.integers(1, 24)),
+       bits=st.sampled_from([2, 6, 20, 70]),
+       scale=st.one_of(st.just(1), st.integers(2, 10 ** 4),
+                       st.integers(2 ** 64, 2 ** 80)),
+       seed=st.integers(0, 2 ** 32))
+def test_the_adjugate_kernel_matches_eliminate(m, bits, scale, seed):
+    # upper triangular with smooth diagonals, repeated, negative, entries
+    # past 2**64, and all of it times a common factor, up to past 2**64: the
+    # kernel answers below 4 rows, and from 4 on exactly when trial division
+    # leaves a cofactor below 2**32 of D_(m-1) / D_1**(m-1), the product of
+    # all but the last invariant factor of the block divided by D_1, and
+    # then gives _eliminate's factors; _list_factors always does, and leaves
+    # a as it was
+    a = [[scale * x for x in row]
+         for row in _smooth_triangular(random.Random(seed), m, 2 ** bits)]
     before = [row[:] for row in a]
     want = _eliminate([row[:] for row in a], m, m)
     out = _triangular_factors(a, m)
-    cofactor = max(_trial_division(prod(want[:-1])), default=1)
-    assert out == (want if cofactor < 2 ** 32 else None)
+    cofactor = max(_trial_division(prod(want[:-1]) // want[0] ** (m - 1)),
+                   default=1)
+    assert out == (want if m < 4 or cofactor < 2 ** 32 else None)
     assert _list_factors(a, m, m) == want
     assert a == before
+
+
+def _old_trial_division(v):
+    """_trial_division by 2 and every odd number below 2**16, as it was
+    before values past 2**64 took the primes of their gcd with the product
+    of the primes."""
+    out, p = {}, 2
+    while p < 1 << 16 and p * p <= v:
+        e = 0
+        while v % p == 0:
+            v //= p
+            e += 1
+        if e:
+            out[p] = e
+        p += 1 + (p > 2)
+    if v > 1:
+        out[v] = 1
+    return out
+
+
+def test_trial_division_past_2_64_matches_the_old_loop():
+    # past 2**64, with cofactors past 2**32 (prime, a prime square past
+    # 2**32, or composite), small primes to high powers up to 65521, the
+    # largest below 2**16, and none: the same factors, in the same order.
+    # Below 2**64 the product of the primes is not built
+    rng = random.Random(7)
+    values = [(2 ** 61 - 1) * 65521 ** 3, 65537 ** 2 * (10 ** 9 + 7) * 12,
+              2 ** 70 * 3, 65521 ** 5, 2 ** 65, 3 ** 41,
+              65519 * 65521 * 2 ** 61, (2 ** 61 - 1) * (2 ** 89 - 1),
+              2 ** 64 + 1]
+    for _ in range(60):
+        v = rng.choice([1, 65537 ** 2, 2 ** 61 - 1, (10 ** 9 + 7) << 32])
+        for p in rng.sample([2, 3, 5, 7, 251, 257, 8191, 65519, 65521], 4):
+            v *= p ** rng.randint(0, 12)
+        values.append(v << (65 - min(v.bit_length(), 65)))
+    for v in values:
+        assert v >> 64
+        assert list(_trial_division(v).items()) \
+            == list(_old_trial_division(v).items()), v
+    exact._small_primes.cache_clear()
+    for v in (2 ** 64 - 1, 65537 ** 2 * 2 ** 30, 2 ** 61 - 1):
+        assert _trial_division(v) == _old_trial_division(v)
+    assert exact._small_primes.cache_info().currsize == 0
 
 
 def test_the_adjugate_kernel_falls_back():
@@ -240,14 +294,14 @@ def test_the_adjugate_kernel_falls_back():
         assert _list_factors(a, 4, 4) == want
 
 
-def test_the_minor_gate_goes_by_shape(monkeypatch):
-    # within the gate no matrix reaches _eliminate, given as an IntMatrix or
-    # as an array; past it, and for transforms, every one does; so do none
-    # of the blocks of k <= 2, square (3 x 3 at most) or 2 x 3 (3 x 4).
-    # A square upper triangular one of 4 or more rows with no zero on its
-    # diagonal does not either (it takes the gcd of its adjugate), nor do
-    # the blocks of k = 3, 5 and 40 off an eigenvalue; with a zero on the
-    # diagonal, an entry below it, one more column, or transforms, it does
+def test_the_list_lane_goes_by_shape(monkeypatch):
+    # a square upper triangular matrix with no zero on its diagonal, of 1 to
+    # 6 or 19 rows, given as an IntMatrix or as an array, never reaches
+    # _eliminate (it takes _triangular_factors), nor do the square blocks of
+    # k = 1, 2, 3, 5 and 40 off an eigenvalue; from 2 rows on, with
+    # transforms, an entry below the diagonal, a zero on it, or one more
+    # column, it does, and so does any other shape, 0 x 0 among them, and
+    # every block of a non-square combination
     calls = []
     eliminate = _eliminate
 
@@ -255,44 +309,42 @@ def test_the_minor_gate_goes_by_shape(monkeypatch):
         calls.append((m, n))
         return eliminate(a, m, n)
 
-    from setsmith import exact
     monkeypatch.setattr(exact, "_eliminate", spy)
     rng = random.Random(5)
-    shapes = [(1, 1), (1, 6), (6, 1), (2, 6), (3, 6), (6, 3), (3, 7), (7, 2),
-              (4, 4), (0, 3), (3, 0)]
-    for rows, cols in shapes:
-        m = rand_matrix(rng, rows, cols)
-        array = np.array(m.data, dtype=np.int64).reshape(rows, cols)
-        assert smith_normal_form(m) == smith_normal_form(array)
-    assert calls == [(3, 7), (3, 7), (7, 2), (7, 2), (4, 4), (4, 4)]
-    calls.clear()
-    smith_normal_form(rand_matrix(rng, 2, 3), with_transforms=True)
-    assert calls == [(2, 3)]
-    calls.clear()
-    for p in (SchemeParams(5, 1, 1, 0), SchemeParams(10 ** 30, 2, 2, 1),
-              SchemeParams(9, 2, 3, 1)):
-        smith_group(p, None, 0)
-    assert calls == []
-    for m in (4, 5, 6, _LIST_LANE_BELOW - 1):
+    for m in (1, 2, 3, 4, 5, 6, _LIST_LANE_BELOW - 1):
         a = [[rng.randint(1, 9) if i == j else rng.randint(-9, 9) * (i < j)
               for j in range(m)] for i in range(m)]
         array = np.array(a, dtype=np.int64)
         assert smith_normal_form(IntMatrix(a)) == smith_normal_form(array)
         assert calls == []
+        if m < 2:
+            continue
         smith_normal_form(IntMatrix(a), with_transforms=True)
         a[m - 1][0] = 1
         smith_normal_form(IntMatrix(a))
-        a[m - 1][0], a[1][1] = 0, 0
+        a[m - 1][0], a[m // 2][m // 2] = 0, 0
         smith_normal_form(IntMatrix(a))
         smith_normal_form(IntMatrix([row + [1] for row in a]))
         assert calls == [(m, m)] * 3 + [(m, m + 1)]
         calls.clear()
+    shapes = [(1, 6), (6, 1), (2, 6), (3, 6), (6, 3), (3, 7), (7, 2), (0, 3),
+              (3, 0), (0, 0)]
+    for rows, cols in shapes:
+        m = rand_matrix(rng, rows, cols)
+        array = np.array(m.data, dtype=np.int64).reshape(rows, cols)
+        assert smith_normal_form(m) == smith_normal_form(array)
+    assert calls == [shape for shape in shapes for _ in range(2)]
+    calls.clear()
+    for p in (SchemeParams(5, 1, 1, 0), SchemeParams(10 ** 30, 2, 2, 1)):
+        smith_group(p, None, 0)
     for p, coeffs, lam in ((SchemeParams(11, 3, 3, 0), (5, -7, 9, 11), 3),
                            (SchemeParams(10 ** 30, 5, 5, 0), range(2, 8), -1),
                            (SchemeParams(120, 40, 40, 0),
                             [(-1) ** l * (l % 7 + 2) for l in range(41)], 7)):
         smith_group(p, coeffs, lam)
     assert calls == []
+    smith_group(SchemeParams(9, 2, 3, 1), None, 0)
+    assert sorted(calls) == [(1, 2), (2, 3), (3, 4)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

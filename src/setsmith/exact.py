@@ -531,12 +531,14 @@ def _triangular_factors(a: list[list[int]], m: int) -> list[int] | None:
     on also None if trial division leaves a cofactor of 2**32 or more of D
     (below), which may not be prime.
 
-    Each factor is D_1, the gcd of the entries, times that of a / D_1 (a
-    below), whose d_1 is 1: at 1 and 2 rows, D_1 and |det| / D_1.  D =
-    D_(m-1) is the gcd of adj(a) = det * a^-1, which comes column by column
-    by back-substitution, with exact division, and stops once D is 1; then
-    d_m = |det| / D, and at 3 rows d_2 = D.  From 4 rows on, a prime p with
-    p**e || D = d_2 ... d_(m-1) goes whole to d_(m-1) when e = 1 or p
+    At 1 and 2 rows the factors are D_1, the gcd of the entries, and |det|
+    / D_1.  At 3 rows, [[x,u,v],[0,y,w],[0,0,z]], D_2 is the gcd of the
+    entries yz, xz, xy, uz, xw and uw - vy of the adjugate, and they are
+    D_1, D_2 / D_1 and |det| / D_2.  From 4 rows on each is D_1 times that
+    of a / D_1 (a below), whose d_1 is 1.  D = D_(m-1) is the gcd of adj(a)
+    = det * a^-1, which comes column by column by back-substitution, with
+    exact division, and stops once D is 1; then d_m = |det| / D.  A prime p
+    with p**e || D = d_2 ... d_(m-1) goes whole to d_(m-1) when e = 1 or p
     divides only two diagonal entries (at most two d_i then hold it, d_m
     one of them), and is spread over the others by _local_parts otherwise.
 
@@ -549,6 +551,10 @@ def _triangular_factors(a: list[list[int]], m: int) -> list[int] | None:
     d1 = gcd(*chain.from_iterable(a))
     if m < 3:
         return [d1, abs(prod(diag)) // d1][:m]
+    if m == 3:
+        (x, u, v), (_, y, w), (_, _, z) = a
+        div = gcd(y * z, x * z, x * y, u * z, x * w, u * w - v * y)
+        return [d1, div // d1, abs(x * y * z) // div]
     if d1 > 1:
         a = [[x // d1 for x in row] for row in a]
         diag = [t // d1 for t in diag]
@@ -564,8 +570,8 @@ def _triangular_factors(a: list[list[int]], m: int) -> list[int] | None:
             div = gcd(div, y[i])
     out = [d1] * m
     out[-1] *= abs(det) // div
-    parts = {div: 1} if m == 3 else _trial_division(div)
-    if m > 3 and max(parts, default=1) >> 32:
+    parts = _trial_division(div)
+    if max(parts, default=1) >> 32:
         return None
     for p, e in parts.items():
         if e == 1 or sum(not t % p for t in diag) == 2:
@@ -672,6 +678,11 @@ class AbelianGroup(_AbelianGroupFields):
     def _make(cls, iterable):  # so that _replace checks too
         return cls(*iterable)
 
+    @classmethod
+    def _keep(cls, runs: tuple, free_rank: int) -> "AbelianGroup":
+        """A group of runs and a free rank in canonical form, unchecked."""
+        return tuple.__new__(cls, (runs, free_rank))
+
     def _factor_list(self) -> list[int]:
         out: list[int] = []
         for d, m in self.runs:
@@ -757,26 +768,32 @@ def group_from_diagonal(entries) -> AbelianGroup:
     """Canonicalize a multiset of diagonal entries given as (value, multiplicity).
 
     Zeros contribute to the free rank, signs are ignored, and +-1 entries
-    are dropped.  The rest is written over a coprime base, and the powers
-    of each base element are zipped largest-first into invariant factors,
-    as prime powers would be: the primes of one base element all share its
-    exponent pattern.  Exponents are kept as (exponent, count) runs and
-    zipped a run at a time, so the work grows with the number of distinct
-    values, never with the multiplicities.
+    are dropped.  Values in a divisibility chain are the invariant factors.
+    Others are written over a coprime base, whose elements b act as primes:
+    the largest factor holds each b to its top exponent, and past the count
+    of factors that hold b**e or more, the next ones hold b to its next
+    exponent (0 past the last).  One walk over those counts, in order,
+    gives the runs, so the work grows with the number of distinct values,
+    never with the multiplicities.
     """
     free = 0
     counts: dict[int, int] = {}
     for value, mult in entries:
+        try:  # refused, not rounded, like IntMatrix entries
+            v, mult = abs(index(value)), index(mult)
+        except TypeError as exc:
+            raise ExactError(f"diagonal entries need integers: {exc}") from None
         if mult < 0:
             raise ExactError("multiplicities must be nonnegative")
-        v = abs(value)
         if v == 0:
             free += mult
         elif v > 1 and mult:
             counts[v] = counts.get(v, 0) + mult
-    # per base element, its [exponent, count] runs, largest exponent last
-    stacks = []
-    for b in _coprime_base(counts):
+    values = sorted(counts)
+    if all(y % x == 0 for x, y in zip(values, values[1:])):
+        return AbelianGroup._keep(tuple((v, counts[v]) for v in values), free)
+    top, drops = 1, {}  # the largest factor; count -> what the later ones lose
+    for b in _coprime_base(values):
         by_exp: dict[int, int] = {}
         for v, mult in counts.items():
             e = 0
@@ -785,18 +802,14 @@ def group_from_diagonal(entries) -> AbelianGroup:
                 e += 1
             if e:
                 by_exp[e] = by_exp.get(e, 0) + mult
-        stacks.append((b, [list(run) for run in sorted(by_exp.items())]))
-    # each step takes the next `step` largest factors, where every base
-    # element keeps its exponent; then at least one run ends, so the next
-    # factor is a proper divisor of this one
-    runs = []
-    while stacks:
-        step = min(stack[-1][1] for _, stack in stacks)
-        runs.append((prod(b ** stack[-1][0] for b, stack in stacks), step))
-        for _, stack in stacks:
-            stack[-1][1] -= step
-            if not stack[-1][1]:
-                stack.pop()
-        stacks = [(b, stack) for b, stack in stacks if stack]
+        at, exps = 0, sorted(by_exp.items(), reverse=True)
+        top *= b ** exps[0][0]
+        for (e, mult), (after, _) in zip(exps, exps[1:] + [(0, 0)]):
+            at += mult
+            drops[at] = drops.get(at, 1) * b ** (e - after)
+    runs, at = [], 0
+    for end in sorted(drops):
+        runs.append((top, end - at))
+        top, at = top // drops[end], end
     runs.reverse()
-    return AbelianGroup(tuple(runs), free)
+    return AbelianGroup._keep(tuple(runs), free)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
-from operator import index, mul
+from operator import index, mul, sub
 from typing import NamedTuple
 
 from .exact import (AbelianGroup, ExactError, IntMatrix, _list_factors,
@@ -176,28 +176,23 @@ def _pascal(m: int) -> list[list[int]]:
     return pascal
 
 
-def _combined_f(p: SchemeParams, coeffs, pascal) -> list[list[int]]:
+def _combined_f(p: SchemeParams, coeffs) -> list[list[int]]:
     """table[i][j] = sum_l b_l f_i(j), f taken at ell = l, for i <= kr and
     j <= kc: the coefficient of W_{i,j} in the conjugated triangular form of
     the combination.  Zero below the diagonal, where W_{i,j} vanishes.
-    f_coeff's alternating sum runs once per row, on g[v][j] = sum_l b_l
-    c_v(j), the product of tables of C(kr-v, kr-l) and b_l C(n-kr-d,
-    kc-l-d), d = j - v (c_coeff)."""
+    Vandermonde's identity on c_coeff's second binomial turns f_coeff's
+    alternating sum over v into sum_r C(kr-i, r) (D^i b)_r C(n-kr-j,
+    kc-j-r), D^i b the i-th forward difference of b_0..b_kr: one product of
+    two short rows per entry.  It needs n - kr >= kc, which every block in
+    range (n >= 3kc - 1) has."""
     n, kr, kc, _ = p
-    terms = [(ell, b) for ell, b in enumerate(coeffs) if b]
-    high = [[b * binomial(n - kr - d, kc - ell - d) for ell, b in terms]
-            for d in range(kc + 1)]
-    low = [[pascal[kr - ell][kr - v] for ell, _ in terms]
-           for v in range(kr + 1)]
-    g = [[sum(map(mul, x, h)) for h in high[:kc + 1 - v]]  # g[v][j - v]
-         for v, x in enumerate(low)]
-    table = []
+    cols = [[comb(n - kr - j, m) for m in range(kc - j, -1, -1)]
+            for j in range(kc + 1)]  # C(n-kr-j, kc-j-r) at r = 0, 1, ...
+    delta, table = coeffs, []
     for i in range(kr + 1):
-        row = [0] * (kc + 1 - i)  # entries i..kc
-        for v in range(i + 1):
-            c = (-1) ** (i - v) * pascal[v][i]
-            row = [x + c * y for x, y in zip(row, g[v][i - v:])]
-        table.append([0] * i + row)
+        a = [comb(kr - i, r) * x for r, x in enumerate(delta)]
+        table.append([0] * i + [sum(map(mul, a, c)) for c in cols[i:]])
+        delta = list(map(sub, delta[1:], delta))
     return table
 
 
@@ -207,15 +202,17 @@ def _blocks(p: SchemeParams, coeffs, lam: int) -> list[MsMatrix]:
         raise ParameterError(
             f"the block reduction assumes n >= 3*kc - 1 (here n >= {3 * p.kc - 1}); "
             f"for n={p.n} use the brute-force oracle instead")
-    table = _combined_f(p, coeffs, pascal := _pascal(p.kc))
+    table = _combined_f(p, coeffs)
     for i in range(p.kr + 1):  # C(i-s, i-s) = 1: every M_s has the shift
         table[i][i] -= lam
+    pascal = _pascal(p.kc)
+    c = [0, 0, *(comb(p.n, s) for s in range(p.kr + 1))]  # C(n, s) at s + 2
     blocks = []
     for s in range(p.kr + 1):
-        data = [[c * x for c, x in zip(pascal[d], row[s:])]
-                for d, row in enumerate(table[s:])]
+        data = [list(map(mul, x, row[s:]))
+                for x, row in zip(pascal, table[s:])]
         blocks.append(MsMatrix(s, IntMatrix._keep(data, p.kc + 1 - s),
-                               block_multiplicity(p.n, s)))
+                               c[s + 2] - 2 * c[s + 1] + c[s]))
     return blocks
 
 

@@ -1,7 +1,9 @@
 import random
 import re
-from itertools import combinations, count, groupby
+from collections import Counter
+from itertools import accumulate, combinations, count, groupby
 from math import gcd, isqrt, prod
+from operator import mul
 
 import numpy as np
 import pytest
@@ -1266,6 +1268,10 @@ def test_group_from_diagonal_examples():
     assert group_from_diagonal([(-6, 2)]) == AbelianGroup(((6, 2),))
     with pytest.raises(ExactError, match="nonnegative"):
         group_from_diagonal([(2, 1), (3, -1)])
+    # a float is refused, not rounded, whole or not, value or multiplicity
+    for entries in ([(6.0, 1), (4, 1)], [(2.5, 1)], [(4, 1.0)]):
+        with pytest.raises(ExactError, match="integers"):
+            group_from_diagonal(entries)
 
 
 def test_group_from_diagonal_matches_snf_route():
@@ -1302,16 +1308,37 @@ def _below_2_20(factors):
     return out
 
 
+def _running_products(pairs):
+    """(value, multiplicity) pairs whose values are replaced by their
+    running products: a divisibility chain."""
+    values = accumulate((v for v, _ in pairs), mul)
+    return [(v, m) for v, (_, m) in zip(values, pairs)]
+
+
+# values whose every prime is below 2**16, so that trial division splits
+# them at any size: products of small ones, and powers past 2**64
+_SMALL_FACTORED = st.lists(
+    st.sampled_from([2, 3, 4, 5, 6, 9, 10, 12, 25, 49, 121, 1009, 32749]),
+    max_size=8).map(_below_2_20)
+_PAST_2_64 = st.lists(st.tuples(st.sampled_from([1009, 32749, 65521]),
+                                st.integers(7, 12)), min_size=1, max_size=3
+                      ).map(lambda pes: prod(p ** e for p, e in pes))
+_MULTIPLICITY = st.integers(0, 3) | st.integers(0, 10 ** 6)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(entries=st.lists(st.tuples(
-    st.one_of(st.integers(-2 ** 20 + 1, 2 ** 20 - 1),
-              st.lists(st.sampled_from([2, 3, 4, 5, 6, 9, 10, 12, 25, 49, 121,
-                                        1009, 32749]), max_size=8)
-              .map(_below_2_20)),
-    st.integers(0, 3)), max_size=10))
-def test_coprime_base_and_group_from_diagonal_match_trial_division(entries):
+@given(loose=st.lists(st.tuples(
+           st.one_of(st.integers(-2 ** 20 + 1, 2 ** 20 - 1), _SMALL_FACTORED,
+                     _PAST_2_64), _MULTIPLICITY), max_size=10),
+       chains=st.lists(st.lists(st.tuples(_SMALL_FACTORED | _PAST_2_64,
+                                          _MULTIPLICITY),
+                                min_size=1, max_size=4).map(_running_products),
+                       max_size=4))
+def test_coprime_base_and_group_from_diagonal_match_trial_division(loose, chains):
     # values that share factors in every pattern, so that base elements
-    # divide later values, split them, and are split by them
+    # divide later values, split them, and are split by them; and several
+    # divisibility chains, as smith_group passes, interleaved with them
+    entries = loose + [pair for chain in chains for pair in chain]
     assert sorted(_coprime_base([6, 12])) == [2, 3]
     base = _coprime_base(abs(v) for v, _ in entries)
     assert all(b > 1 for b in base)
@@ -1322,18 +1349,29 @@ def test_coprime_base_and_group_from_diagonal_match_trial_division(entries):
             while v and v % b == 0:
                 v //= b
         assert v in (0, 1)
-    # per prime (trial division below 2**16 factors any value below
-    # 2**32), its exponents largest first, zipped into the factors
+    # per prime (trial division factors every value drawn), how many
+    # factors hold each exponent; the factor at position t from the top
+    # holds each prime to its (t+1)-th largest exponent
     exponents, free = {}, 0
     for v, m in entries:
         free += m if v == 0 else 0
-        for p, e in _trial_division(abs(v)).items() if v else ():
-            exponents.setdefault(p, []).extend([e] * m)
-    factors = [1] * max(map(len, exponents.values()), default=0)
-    for p, es in exponents.items():
-        for i, e in enumerate(sorted(es, reverse=True)):
-            factors[i] *= p ** e
-    runs = [(d, len(list(same))) for d, same in groupby(reversed(factors))]
+        for p, e in _trial_division(abs(v)).items() if v and m else ():
+            exponents.setdefault(p, Counter())[e] += m
+    ranked = {p: sorted(es.items(), reverse=True) for p, es in exponents.items()}
+    ends = sorted({end for es in ranked.values()
+                   for end in accumulate(c for _, c in es)})
+
+    def factor(t):
+        out = 1
+        for p, es in ranked.items():
+            for e, end in zip((e for e, _ in es), accumulate(c for _, c in es)):
+                if t < end:
+                    out *= p ** e
+                    break
+        return out
+
+    runs = [(factor(start), end - start)
+            for start, end in zip([0] + ends, ends)][::-1]
     assert group_from_diagonal(entries) == AbelianGroup(runs, free)
 
 

@@ -20,7 +20,7 @@ from setsmith.scheme import (DEFAULT_CAP, ParameterError, SchemeParams,
                              SizeCapExceeded, block_multiplicity, c_coeff,
                              degree, eigenvalues, ms_matrices, ms_matrix,
                              smith_group)
-from setsmith.scheme import _combined_f, _pascal
+from setsmith.scheme import _combined_f
 from setsmith.exact import (AbelianGroup, ExactError, _coprime_base,
                             group_from_diagonal, smith_normal_form)
 from setsmith.oracle import (THEOREMS, bench, brute_force_group,
@@ -857,14 +857,15 @@ def test_dense_oracle_is_exact_past_int64():
 def test_combined_f_matches_the_per_ell_definition(data):
     kc = data.draw(st.integers(0, 5))
     kr = data.draw(st.integers(0, kc))
-    n = data.draw(st.integers(kc, 40))
+    # the closed form needs n - kr >= kc, as every block in range has
+    n = data.draw(st.integers(kr + kc, 40))
     coeffs = tuple(data.draw(st.integers(-10 ** 30, 10 ** 30) | st.just(0))
                    for _ in range(kr + 1))
     p = SchemeParams(n, kr, kc, 0)
     want = [[sum(b * f_coeff(i, j, SchemeParams(n, kr, kc, ell))
                  for ell, b in enumerate(coeffs)) if i <= j else 0
              for j in range(kc + 1)] for i in range(kr + 1)]
-    assert _combined_f(p, coeffs, _pascal(p.kc)) == want
+    assert _combined_f(p, coeffs) == want
 
 
 def test_combined_f_matches_the_table_through_c_coeff():
@@ -886,7 +887,7 @@ def test_combined_f_matches_the_table_through_c_coeff():
                 want = [[sum((-1) ** (i + v) * comb(i, v) * g[v][j]
                              for v in range(i + 1)) if i <= j else 0
                          for j in range(kc + 1)] for i in range(kr + 1)]
-                assert _combined_f(p, coeffs, _pascal(kc)) == want, (p, coeffs)
+                assert _combined_f(p, coeffs) == want, (p, coeffs)
 
 
 # The names `import setsmith` offered before the dense builders, the proof

@@ -7,9 +7,10 @@ diagonal, as every square M_s block off an eigenvalue is, from D_1, the
 gcd of its entries, and D_(m-1), the gcd of its adjugate, then from 4 rows
 on the rest by one elimination modulo p**e per prime p whose square
 divides D_(m-1) (_triangular_factors).  It eliminates any other one, or
-one whose D_(m-1) trial division cannot split (_eliminate): below
-_BEZOUT_BELOW rows and columns by one 2x2 Bezout step per entry, and past
-that by Euclid's rounded quotients, whose entries grow less.  It reduces
+one whose D_(m-1) trial division cannot split (_eliminate), by rounded
+quotients: below _BEZOUT_BELOW rows and columns a remainder under the
+pivot takes a 2x2 Bezout step of rows, and any other remainder makes a
+new pivot, as in Euclid's algorithm, whose entries grow less.  It reduces
 every M_s block, whatever its size, because scheme.smith_group calls it
 directly; smith_normal_form sends it a matrix with fewer than
 _LIST_LANE_BELOW rows or columns.  Any other one (the dense oracle's
@@ -57,12 +58,14 @@ _INT64_CEILING = 1 << 62
 # scheme.smith_group sends none.)
 _LIST_LANE_BELOW = 20
 
-# _eliminate takes Bezout steps (Kannan and Bachem, SIAM J. Comput. 8, 1979)
-# on blocks with fewer rows and columns than this.  Bezout time over Euclid
-# time (2-vCPU VM, Python 3.11): 0.35-0.65 on M_0 of random two-digit
-# combinations with 6 to 11 rows at n = 3k to 10**30; on the M_s of k = 16
-# to 32 at n = 10**30, 0.37-0.48 at 9 and 10 rows, 0.54-0.68 at 11, 0.7-1.4
-# at 12 and 0.6-2.0 at 13, as the coefficients grow; 32 on a random 30 x 30.
+# _eliminate clears the pivot column by Bezout steps of rows (Kannan and
+# Bachem, SIAM J. Comput. 8, 1979) in matrices with fewer rows and columns
+# than this.  Time with them over Euclid's alone (2-vCPU VM, Python 3.11, n
+# = 3k to 10**30): 0.35-1.05 on the Kneser Laplacian's M_0 at k = 4 to 10,
+# 0.95-1.21 on the Johnson Laplacian's, 0.37-0.86 on non-square blocks at
+# kc = 3 to 11 and 0.62-0.98 on random matrices of 4 to 11 columns; past
+# it, as their coefficients grow, up to 316 on the Kneser M_0 of 12 to 19
+# rows, 2.4 on non-square blocks at kc = 12 to 14, 77 on a random 40 x 40.
 _BEZOUT_BELOW = 12
 
 
@@ -428,23 +431,7 @@ def _eliminate(a: list[list[int]], m: int, n: int) -> list[int]:
             if not dirty:
                 diag.append(p)
                 t += 1
-                break
-            if not bezout:
-                break  # re-pick the pivot: row t holds a smaller entry
-            # the remainders go by Bezout steps of columns (a quotient
-            # step where p | x).  The first one puts entries below the
-            # pivot, so every step changes every row, and column t is
-            # cleared again
-            below = a[t:]
-            for j in range(t + 1, n):
-                x = piv[j]
-                if x:
-                    g, s, r = _xgcd(p, x) if x % p else (p, 1, 0)
-                    u, v = p // g, x // g
-                    for row in below:
-                        y, z = row[t], row[j]
-                        row[t], row[j] = s * y + r * z, u * z - v * y
-                    p = g
+            break  # else re-pick the pivot: row t holds a smaller entry
 
 
 @cache
@@ -721,7 +708,11 @@ class AbelianGroup(_AbelianGroupFields):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AbelianGroup":
-        values = [*d["invariant_factors"], d["free_rank"]]
+        try:
+            values = [*d["invariant_factors"], d["free_rank"]]
+        except (KeyError, TypeError):
+            raise ExactError("group JSON needs a dict with an invariant_factors "
+                             "list and a free_rank") from None
         for v in values:  # int() would truncate 2.9 and read "4" or True
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ExactError(f"group JSON holds a non-integer {v!r}")

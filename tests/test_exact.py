@@ -389,10 +389,10 @@ _SMOOTH = [0, 1, 2, 3, 4, 6, 8, 9, 12, 27, 35]
        seed=st.integers(0, 2 ** 32))
 def test_bezout_step_matches_the_euclid_step(rows, cols, square, kind, smooth,
                                              scale, seed):
-    # _eliminate takes one Bezout step per entry on blocks of fewer than
-    # _BEZOUT_BELOW rows and columns; padded by zero rows up to that size,
+    # below _BEZOUT_BELOW rows and columns, _eliminate clears the pivot
+    # column by Bezout steps of rows; padded by zero rows up to that size,
     # the same matrix has the same invariant factors and takes Euclid's
-    # rounded quotients.  Entries rich in small primes (smooth), and a
+    # steps alone.  Entries rich in small primes (smooth), and a
     # common scale, give chains of factors past 1, up to 2**100
     rng = random.Random(seed)
     cols = rows if square else cols
@@ -1408,6 +1408,21 @@ def test_group_json_roundtrip():
 def test_group_json_refuses_non_integers(d):
     # int() read the first two as Z/2 + Z/6 + Z and Z/4 + Z
     with pytest.raises(ExactError, match="non-integer"):
+        AbelianGroup.from_json_dict(d)
+
+
+@pytest.mark.parametrize("d", [
+    {"free_rank": 0},
+    {"invariant_factors": [2]},
+    {},
+    {"invariant_factors": None, "free_rank": 0},
+    {"invariant_factors": 6, "free_rank": 0},
+    [[2, 6], 1],
+    None,
+])
+def test_group_json_refuses_missing_fields_and_other_shapes(d):
+    # refused as input, not left to raise KeyError or TypeError
+    with pytest.raises(ExactError, match="group JSON needs"):
         AbelianGroup.from_json_dict(d)
 
 

@@ -489,6 +489,47 @@ def test_block_deltas_match_eliminate():
                 len(diag)), (p, coeffs, lam, b.s)
 
 
+def test_eliminated_blocks_have_exact_certificates():
+    # the blocks that the triangular kernel leaves to _eliminate (a zero on
+    # the diagonal, not square, or refused), checked apart from
+    # _eliminate's own factors: unimodular transforms carry each block to
+    # a positive divisibility chain padded with zeros, smith_group's delta.
+    # The Johnson and Kneser Laplacians, a random two-digit combination
+    # shifted to one of its eigenvalues, and one with kr = kc - 1, at n
+    # from 3kc - 1 to 10**30 and up to 12 rows
+    rng = random.Random(33)
+    checked = 0
+    for kc in (2, 3, 5, 8, 11):
+        for n in (3 * kc - 1, 10 ** 6, 10 ** 30):
+            square = SchemeParams(n, kc, kc, 0)
+            drawn = tuple(rng.randint(-99, 99) for _ in range(kc + 1))
+            shift = rng.choice([e.eigenvalue
+                                for e in eigenvalues(square, drawn)])
+            cases = [(SchemeParams(n, kc, kc, ell), None, degree(n, kc, ell))
+                     for ell in (kc - 1, 0)]
+            cases += [(square, drawn, shift),
+                      (SchemeParams(n, kc - 1, kc, 0), drawn[1:], 0)]
+            for p, coeffs, lam in cases:
+                for b in smith_group(p, coeffs, lam).blocks:
+                    m = b.matrix
+                    rows, cols = m.shape()
+                    if (rows == cols and exact._triangular_factors(
+                            m.data, rows) is not None):
+                        continue
+                    snf = smith_normal_form(m, with_transforms=True)
+                    f = snf.invariant_factors
+                    assert all(d > 0 for d in f)
+                    assert all(y % x == 0 for x, y in zip(f, f[1:]))
+                    assert snf.left @ m @ snf.right == \
+                        snf.diagonal_matrix(rows, cols)
+                    assert abs(proof._bareiss_det(snf.left.data)) == 1
+                    assert abs(proof._bareiss_det(snf.right.data)) == 1
+                    assert f + (0,) * (min(rows, cols) - len(f)) == b.delta, (
+                        p, coeffs, lam, b.s)
+                    checked += 1
+    assert checked >= 200
+
+
 def test_smith_group_kneser_adjacency_matches_eigenvalue_diagonal():
     # the disjointness matrix has a diagonal form listing its eigenvalues
     # C(5-j, 3-j) with multiplicity mu_j; as a group that's what the block
